@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..errors import Errno, KernelError
-from ..obs.trace import instrument_syscalls
+from ..obs.trace import immutable_value, instrument_syscalls
 from .capabilities import Cap
 from .idmap import IdMap, IdMapEntry
 from .mounts import MountFlags, Resolved, normpath
@@ -44,6 +44,7 @@ from .vfs import (
 __all__ = ["Syscalls", "StatResult", "DirEntry"]
 
 
+@immutable_value
 @dataclass(frozen=True)
 class StatResult:
     """stat(2) result.  st_uid/st_gid are translated into the *caller's*
@@ -76,6 +77,7 @@ class StatResult:
     exe_static: bool = False
 
 
+@immutable_value
 @dataclass(frozen=True)
 class DirEntry:
     name: str

@@ -207,6 +207,10 @@ class Filesystem:
     def root(self) -> Inode:
         return self.inode(self.root_ino)
 
+    def holds(self, node: Inode) -> bool:
+        """Is *node* still a live inode of this filesystem?"""
+        return self._inodes.get(node.ino) is node
+
     def alloc(
         self,
         ftype: FileType,

@@ -88,10 +88,6 @@ class TraceMetrics:
         self.snapshots: Counter[str] = Counter()
         self.supply: Counter[str] = Counter()
 
-    def count_call(self, name: str, *, top_level: bool) -> None:
-        if top_level:
-            self.syscalls[name] += 1
-
     def count_errno(self, name: str, errno_name: str) -> None:
         self.errnos[errno_name] += 1
         self.errnos_by_syscall[(name, errno_name)] += 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -40,12 +41,14 @@ __all__ = [
     "Span",
     "SyscallTracer",
     "attach_tracer",
+    "immutable_value",
     "instrument_syscalls",
     "kernel_span",
     "maybe_span",
 ]
 
 DEFAULT_RING_SIZE = 65536
+_TICKS = operator.attrgetter("ticks")
 
 #: Method names on Syscalls (and its interposing subclasses) that are
 #: recorded as syscall events.  Composite conveniences (mkdir_p, the
@@ -110,23 +113,50 @@ def _format_result(value: Any) -> str:
     return _short(value)
 
 
-def _ns_level(ns) -> int:
-    """Nesting depth of a user namespace (0 = initial)."""
-    n = 0
-    while ns.parent is not None:
-        n += 1
-        ns = ns.parent
-    return n
+#: Types whose values cannot change after a call, so rendering them can
+#: wait until an event's ``args``/``result`` is first read.  Values of any
+#: other type are rendered when the call is recorded.
+_IMMUTABLE: set[type] = {str, int, bool, type(None), bytes}
+
+
+def immutable_value(cls: type) -> type:
+    """Class decorator: mark *cls*, a frozen value type that syscalls take
+    or return, as safe to render lazily."""
+    _IMMUTABLE.add(cls)
+    return cls
+
+
+class _Args:
+    """Call arguments kept for rendering on first read."""
+
+    __slots__ = ("args", "kwargs")
+
+    def __init__(self, args: tuple, kwargs: dict):
+        self.args = args
+        self.kwargs = kwargs
+
+
+class _Result:
+    """A call's return value kept for rendering on first read."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = value
 
 
 @dataclass(slots=True)
 class SyscallEvent:
-    """One recorded system call."""
+    """One recorded system call.
+
+    ``args`` and ``result`` are rendered strings.  When the values behind
+    them are immutable, rendering waits for the first read, so events that
+    nobody reads cost no string building."""
 
     seq: int
     name: str
     layer: str          # which class answered: kernel/fakeroot/seccomp/...
-    args: str
+    raw_args: Any = field(repr=False)
     pid: int
     comm: str
     euid: int           # caller's kernel euid at call time
@@ -136,33 +166,31 @@ class SyscallEvent:
     parent_seq: int     # seq of the enclosing call (0 = top level)
     span_seq: int       # seq of the enclosing span (0 = none)
     start_tick: int
-    duration: int       # clock advances while the call ran (a work proxy)
-    result: str         # "ok" or a summary; "error" on KernelError
-    errno: str          # errno name ("" on success)
-    errno_code: int     # numeric errno (0 on success)
+    duration: int = 0   # clock advances while the call ran (a work proxy)
+    raw_result: Any = field(default="", repr=False)
+    errno: str = ""     # errno name ("" on success)
+    errno_code: int = 0  # numeric errno (0 on success)
+    #: The enclosing span (None outside any span).
+    span: Optional["Span"] = field(default=None, repr=False, compare=False)
+
+    @property
+    def args(self) -> str:
+        raw = self.raw_args
+        if type(raw) is _Args:
+            raw = self.raw_args = _format_args(raw.args, raw.kwargs)
+        return raw
+
+    @property
+    def result(self) -> str:
+        """"ok" or a summary of the return value; "error" on KernelError."""
+        raw = self.raw_result
+        if type(raw) is _Result:
+            raw = self.raw_result = _format_result(raw.value)
+        return raw
 
     @property
     def ok(self) -> bool:
         return not self.errno
-
-
-@dataclass(slots=True)
-class _Frame:
-    """An in-flight syscall (becomes a SyscallEvent at end_call)."""
-
-    seq: int
-    name: str
-    layer: str
-    args: str
-    pid: int
-    comm: str
-    euid: int
-    egid: int
-    ns_level: int
-    depth: int
-    parent_seq: int
-    start_tick: int
-    span: Optional["Span"]
 
 
 @dataclass
@@ -237,7 +265,7 @@ class SyscallTracer:
         self.metrics = TraceMetrics()
         self.roots: list[Span] = []
         self._span_stack: list[Span] = []
-        self._stack: list[_Frame] = []
+        self._stack: list[SyscallEvent] = []
         self._seq = itertools.count(1)
 
     # -- state -----------------------------------------------------------------
@@ -259,61 +287,57 @@ class SyscallTracer:
     # -- syscall recording (called from instrumented methods) -------------------
 
     def begin_call(self, name: str, layer: str, sys_obj,
-                   args: tuple, kwargs: dict) -> _Frame:
+                   args: tuple, kwargs: dict) -> SyscallEvent:
+        """Start recording one call; the event is kept by :meth:`end_call`."""
         proc = sys_obj.proc
         cred = proc.cred
-        frame = _Frame(
-            seq=next(self._seq),
-            name=name,
-            layer=layer,
-            args=_format_args(args, kwargs),
-            pid=proc.pid,
-            comm=proc.comm,
-            euid=cred.euid,
-            egid=cred.egid,
-            ns_level=_ns_level(cred.userns),
-            depth=len(self._stack),
-            parent_seq=self._stack[-1].seq if self._stack else 0,
-            start_tick=self._clock(),
-            span=self._span_stack[-1] if self._span_stack else None,
+        stack = self._stack
+        span = self._span_stack[-1] if self._span_stack else None
+        if _IMMUTABLE.issuperset(map(type, args)) and (
+                not kwargs or _IMMUTABLE.issuperset(map(type, kwargs.values()))):
+            raw_args: Any = _Args(args, kwargs)
+        else:
+            raw_args = _format_args(args, kwargs)
+        event = SyscallEvent(
+            next(self._seq), name, layer, raw_args, proc.pid, proc.comm,
+            cred.euid, cred.egid, cred.userns.level, len(stack),
+            stack[-1].seq if stack else 0,
+            span.seq if span is not None else 0,
+            self._clock(), span=span,
         )
-        self._stack.append(frame)
-        return frame
+        stack.append(event)
+        return event
 
     _MISSING = object()
 
-    def end_call(self, frame: _Frame, *, result: Any = _MISSING,
+    def end_call(self, event: SyscallEvent, *, result: Any = _MISSING,
                  error: Optional[KernelError] = None) -> SyscallEvent:
         self._stack.pop()
-        top = frame.depth == 0
+        top = event.depth == 0
+        name = event.name
+        errno_name = ""
         if error is not None:
-            errno_name = error.errno.name
-            errno_code = int(error.errno)
-            res = "error"
+            errno_name = event.errno = error.errno.name
+            event.errno_code = int(error.errno)
+            event.raw_result = "error"
+        elif result is self._MISSING or result is None:
+            event.raw_result = "ok"
+        elif type(result) in _IMMUTABLE:
+            event.raw_result = _Result(result)
         else:
-            errno_name = ""
-            errno_code = 0
-            res = _format_result(None if result is self._MISSING else result)
-        self.metrics.count_call(frame.name, top_level=top)
+            event.raw_result = _format_result(result)
+        if top:
+            self.metrics.syscalls[name] += 1
         if errno_name:
-            self.metrics.count_errno(frame.name, errno_name)
-        span = frame.span
+            self.metrics.count_errno(name, errno_name)
+        span = event.span
         if span is not None:
             if top:
-                span.syscalls[frame.name] += 1
+                span.syscalls[name] += 1
             if errno_name:
                 span.errnos[errno_name] += 1
-                span.errnos_by_syscall[f"{frame.name}:{errno_name}"] += 1
-        event = SyscallEvent(
-            seq=frame.seq, name=frame.name, layer=frame.layer,
-            args=frame.args, pid=frame.pid, comm=frame.comm,
-            euid=frame.euid, egid=frame.egid, ns_level=frame.ns_level,
-            depth=frame.depth, parent_seq=frame.parent_seq,
-            span_seq=span.seq if span is not None else 0,
-            start_tick=frame.start_tick,
-            duration=self._clock() - frame.start_tick,
-            result=res, errno=errno_name, errno_code=errno_code,
-        )
+                span.errnos_by_syscall[f"{name}:{errno_name}"] += 1
+        event.duration = self._clock() - event.start_tick
         self.events.append(event)
         return event
 
@@ -348,8 +372,8 @@ def attach_tracer(kernel, *, ring_size: int = DEFAULT_RING_SIZE
     """Create a tracer clocked by *kernel* and install it as
     ``kernel.tracer``.  Idempotent: an already-attached tracer is kept."""
     if getattr(kernel, "tracer", None) is None:
-        kernel.tracer = SyscallTracer(clock=lambda: kernel.ticks,
-                                      ring_size=ring_size)
+        kernel.tracer = SyscallTracer(
+            clock=functools.partial(_TICKS, kernel), ring_size=ring_size)
     return kernel.tracer
 
 
@@ -376,16 +400,16 @@ def _wrap(fn: Callable, name: str, layer: str) -> Callable:
         tracer = self.proc.kernel.tracer
         if tracer is None:
             return fn(self, *args, **kwargs)
-        frame = tracer.begin_call(name, layer, self, args, kwargs)
+        event = tracer.begin_call(name, layer, self, args, kwargs)
         try:
             result = fn(self, *args, **kwargs)
         except KernelError as err:
-            tracer.end_call(frame, error=err)
+            tracer.end_call(event, error=err)
             raise
         except BaseException as exc:
-            tracer.end_call(frame, result=f"!{type(exc).__name__}")
+            tracer.end_call(event, result=f"!{type(exc).__name__}")
             raise
-        tracer.end_call(frame, result=result)
+        tracer.end_call(event, result=result)
         return result
 
     wrapper.__traced__ = True  # type: ignore[attr-defined]

@@ -8,6 +8,8 @@ discrete-event semantics: the closed-form bulk transmit path
 virtual timestamp, LinkStats float, and deploy digest is bit-identical
 with them on or off — and this module is the single switch the parity
 tests and the ``engine-throughput-smoke`` ablation flip to prove it.
+The incremental snapshot walker (:mod:`~repro.cas.diff`) and the path-walk
+prefix cache (:mod:`~repro.kernel.mounts`) sit behind the same switch.
 
 Set ``REPRO_SIM_REFERENCE=1`` in the environment to start with the
 reference (pre-optimization) engine, or use :func:`reference_engine` to

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim.opts import reference_engine
+
 from repro.errors import Errno, KernelError
 from repro.kernel import (
     Credentials,
@@ -187,6 +189,87 @@ class TestResolution:
         assert m.effective_nosuid
         m2 = mnt.mounts["/tmp"]
         assert not m2.effective_nosuid
+
+
+@pytest.fixture(params=["cached", "reference"])
+def engine(request):
+    """Run a test on the cached walk and again on the uncached oracle."""
+    if request.param == "cached":
+        yield
+    else:
+        with reference_engine():
+            yield
+
+
+class TestTrailingSlash:
+    """A trailing ``/`` or ``/.`` demands a directory (path_resolution(7))."""
+
+    @pytest.mark.parametrize("path", ["/etc/hosts/", "/etc/hosts/.",
+                                      "/etc/hosts//", "/etc/hosts/./",
+                                      "/hosts-link/", "/etc/hosts/.."])
+    def test_non_directory_is_enotdir(self, world, root_cred, engine, path):
+        _, mnt = world
+        for follow in (True, False):
+            with pytest.raises(KernelError) as exc:
+                mnt.resolve(path, root_cred, follow=follow)
+            assert exc.value.errno == Errno.ENOTDIR
+
+    @pytest.mark.parametrize("path", ["/etc/", "/etc/.", "/etc//", "/tmp/"])
+    def test_directory_resolves(self, world, root_cred, engine, path):
+        _, mnt = world
+        assert mnt.resolve(path, root_cred).inode.is_dir
+
+    def test_stat_of_file_with_trailing_slash(self, alice_sys, engine):
+        alice_sys.write_file("/home/alice/f", b"x")
+        for path in ("/home/alice/f/", "/home/alice/f/."):
+            with pytest.raises(KernelError) as exc:
+                alice_sys.stat(path)
+            assert exc.value.errno == Errno.ENOTDIR
+        assert alice_sys.stat("/home/alice/f").ftype is FileType.REG
+
+    def test_trailing_slash_follows_a_final_symlink(self, alice_sys, engine):
+        alice_sys.mkdir("/home/alice/d")
+        alice_sys.symlink("d", "/home/alice/ln")
+        assert alice_sys.lstat("/home/alice/ln").ftype is FileType.SYMLINK
+        assert alice_sys.lstat("/home/alice/ln/").ftype is FileType.DIR
+
+
+class TestPhysicalParent:
+    """``resolve_parent`` follows ``..`` physically, as ``resolve`` does."""
+
+    @pytest.fixture
+    def tree(self, alice_sys):
+        alice_sys.mkdir("/home/alice/d")
+        alice_sys.mkdir("/home/alice/d/sub")
+        alice_sys.symlink("d/sub", "/home/alice/ln")
+        return alice_sys
+
+    def test_create_then_stat_agree(self, tree, engine):
+        tree.write_file("/home/alice/ln/../x", b"hi")
+        assert tree.stat("/home/alice/ln/../x").ftype is FileType.REG
+        assert tree.read_file("/home/alice/d/x") == b"hi"
+        assert not tree.exists("/home/alice/x")
+
+    def test_unlink_and_rename_follow_the_link(self, tree, engine):
+        tree.write_file("/home/alice/d/x", b"hi")
+        tree.rename("/home/alice/ln/../x", "/home/alice/ln/../y")
+        assert tree.read_file("/home/alice/d/y") == b"hi"
+        tree.unlink("/home/alice/ln/../y")
+        assert tree.readdir("/home/alice/d")[0].name == "sub"
+        assert len(tree.readdir("/home/alice/d")) == 1
+
+    def test_final_dotdot_names_the_physical_parent(self, tree, engine):
+        rp = tree.mnt_ns.resolve_parent("/home/alice/ln/..", tree.cred)
+        assert (rp.dir_path, rp.name) == ("/home/alice", "d")
+        with pytest.raises(KernelError) as exc:
+            tree.mkdir("/home/alice/ln/..")
+        assert exc.value.errno == Errno.EEXIST
+
+    def test_root_is_busy(self, tree, engine):
+        for path in ("/", "//", "/home/..", "/."):
+            with pytest.raises(KernelError) as exc:
+                tree.mnt_ns.resolve_parent(path, tree.cred)
+            assert exc.value.errno == Errno.EBUSY
 
 
 # -- property: normpath idempotence & shape ---------------------------------------
