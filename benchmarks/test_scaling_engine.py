@@ -77,6 +77,9 @@ class _SimRegistry:
     def fetch_blob(self, digest: str) -> bytes:
         return self._blob
 
+    def serving_endpoints(self, digest=None) -> list:
+        return [self]
+
 
 def _broadcast(strategy: str, chunk_size: int, reference: bool):
     """One 10k-node distribution; returns (wall, events, report,

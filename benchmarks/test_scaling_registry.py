@@ -76,7 +76,7 @@ def test_scaling_registry_fleet():
         details[n] = rep.as_dict()
         # conservation + zero double-counting at every level
         assert rep.completed + rep.dropped + rep.failed == rep.offered
-        assert sum(s.registry.stats.bytes_pulled for s in fleet.shards) \
+        assert sum(s.stats.served_bytes for s in fleet.shards) \
             == fleet.stats.bytes_pulled
 
     # more shards never hurt, and the headline gate holds

@@ -135,7 +135,7 @@ def _prepare_deploy(
     if topology is None:
         topology = make_deploy_topology(registry, targets)
     else:
-        for endpoint in getattr(registry, "shards", None) or (registry,):
+        for endpoint in registry.serving_endpoints():
             topology.attach(endpoint)
         for node in targets:
             topology.attach(node)

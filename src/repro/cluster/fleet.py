@@ -19,36 +19,33 @@ module grows that seed into a *fleet*:
   (:func:`~repro.cluster.broadcast.distribute_blobs`), not with origin
   re-uploads; the moved bytes are accounted as ``rebalance_bytes``, never
   as client push/pull traffic (the zero-double-counting invariant).
-* **Per-tenant namespaces, quotas, and token auth** — repositories are
-  namespaced ``tenant/repo:tag``.  A registered tenant's repos are
-  private: pushes and pulls must present the tenant's token; pushes
-  beyond the byte quota are rejected with a *retryable* error (quota can
-  free up).  Per-tenant stats are computed only from that tenant's own
-  repositories and never name another tenant's blob digests.
 * **Admission control with backpressure** — each shard is a FIFO server
   on the sim clock with a bounded queue; an arrival that would exceed
   the bound gets a 503-style :class:`FleetOverloadError` carrying
   ``retry_at``, which composes with the PR-6
   :class:`~repro.sim.RetryPolicy` exactly like a registry flake.
 
-The fleet is a drop-in :class:`Registry` facade: it exposes the same
-push/pull/fetch_blob/manifest surface, so Podman pushes, ch-image pulls,
-and the tree-broadcast deploy path all work unchanged when
-:func:`deploy_fleet` swaps it in as the world's site registry.
+:class:`RegistryFleet` *is* a :class:`Registry`: the metadata plane
+(manifests, signatures, attestations, cache pointers, tenants and their
+quotas) and every request path over it are inherited unchanged, and the
+fleet overrides only the blob plane — where bytes are stored and which
+shard serves them.  Podman pushes, ch-image pulls, and the tree-broadcast
+deploy path therefore work unchanged when :func:`deploy_fleet` swaps a
+fleet in as the world's site registry.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
-from ..cas.store import blob_digest
-from ..containers.oci import ImageConfig, ImageRef, Manifest
-from ..containers.registry import Registry, TransferStats
-from ..errors import RegistryError, TransientError
-from ..obs.trace import maybe_span
+from ..cas.store import ContentStore
+from ..containers.oci import ImageRef
+from ..containers.registry import (FleetAuthError, FleetError,
+                                   FleetQuotaError, Registry, Tenant)
+from ..errors import TransientError
 
 __all__ = [
     "FleetError",
@@ -61,19 +58,6 @@ __all__ = [
     "Tenant",
     "deploy_fleet",
 ]
-
-
-class FleetError(RegistryError):
-    """A fleet-level registry operation failed."""
-
-
-class FleetAuthError(FleetError):
-    """Missing or wrong tenant token (the 401/403 of this world)."""
-
-
-class FleetQuotaError(TransientError, FleetError):
-    """Push rejected: tenant byte quota exhausted.  Retryable — quota
-    frees up when the tenant deletes images or is re-provisioned."""
 
 
 class FleetOverloadError(TransientError, FleetError):
@@ -188,12 +172,14 @@ class ShardStats:
 
 
 class RegistryShard:
-    """One registry service of the fleet: a :class:`Registry` plus a
-    bounded FIFO admission queue on the sim clock.
+    """One blob holder of the fleet: a content store, the set of blobs
+    it owns, and a bounded FIFO admission queue on the sim clock.
 
-    The shard quacks like a broadcast endpoint too (``hostname`` +
-    ``content_store``), so :func:`~repro.cluster.broadcast.
-    distribute_blobs` can fill it peer-to-peer like a compute node.
+    The shard is a broadcast endpoint in both directions: a target
+    (``hostname`` + ``content_store``) and a source (``fetch_blob`` +
+    ``blob_size`` + ``serving_endpoints``), so
+    :func:`~repro.cluster.broadcast.distribute_blobs` can fill shards
+    from one another peer-to-peer like compute nodes.
     """
 
     def __init__(self, name: str, *, queue_limit: Optional[int] = None,
@@ -202,7 +188,8 @@ class RegistryShard:
         if queue_limit is not None and queue_limit <= 0:
             raise FleetError(f"queue_limit must be positive: {queue_limit}")
         self.name = name
-        self.registry = Registry(name)
+        self.content_store = ContentStore()
+        self.owned: set[str] = set()
         self.alive = True
         self.queue_limit = queue_limit
         self.service_bandwidth = service_bandwidth
@@ -211,15 +198,57 @@ class RegistryShard:
         self._busy_until = 0.0
         self._completions: list[float] = []  # in-flight op end times
 
-    # -- broadcast-endpoint duck type -------------------------------------
-
     @property
     def hostname(self) -> str:
         return self.name
 
-    @property
-    def content_store(self):
-        return self.registry.store
+    # -- blobs -------------------------------------------------------------
+
+    def has_blob(self, digest: str) -> bool:
+        return self.content_store.has(digest)
+
+    def blob_size(self, digest: str) -> int:
+        return self.content_store.size_of(digest)
+
+    def fetch_blob(self, digest: str) -> bytes:
+        """The bytes of one resident blob, uncounted (the shard-to-shard
+        fill reads this way; the fleet books that as rebalance traffic)."""
+        return self.content_store.get(digest)
+
+    def serve(self, digest: str) -> bytes:
+        """One client read of a resident blob, counted as served."""
+        blob = self.content_store.get(digest)
+        self.stats.served_blobs += 1
+        self.stats.served_bytes += len(blob)
+        return blob
+
+    def serving_endpoints(self, digest: Optional[str] = None) -> list:
+        return [self]
+
+    def hold(self, digest: str, blob: Optional[bytes] = None) -> None:
+        """Own *digest*, storing *blob* first when given (a placement);
+        without it the bytes must already be resident (a peer fill
+        landed them)."""
+        store = self.content_store
+        if blob is not None and not store.has(digest):
+            store.put(blob)
+        if not store.has(digest):
+            raise FleetError(
+                f"{self.name}: cannot hold absent blob {digest[:19]}...")
+        if digest not in self.owned:
+            self.owned.add(digest)
+            store.incref(digest)
+
+    def drop(self, digest: str) -> None:
+        """Release one owned blob and reclaim its bytes."""
+        if digest in self.owned:
+            self.owned.discard(digest)
+            self.content_store.decref(digest)
+            self.content_store.discard(digest)
+
+    def storage_bytes(self) -> int:
+        store = self.content_store
+        return sum(store.size_of(d) for d in self.owned if store.has(d))
 
     # -- admission queue ---------------------------------------------------
 
@@ -263,59 +292,24 @@ class RegistryShard:
 
     def as_dict(self) -> dict:
         d = self.stats.as_dict()
-        d.update(self.registry.stats.as_dict())
         d["alive"] = self.alive
-        d["storage_bytes"] = self.registry.storage_bytes()
+        d["storage_bytes"] = self.storage_bytes()
         return d
-
-
-# --------------------------------------------------------------------------
-# Tenancy
-
-
-@dataclass
-class Tenant:
-    """One namespace: auth token, quota, and private per-tenant stats."""
-
-    name: str
-    token: Optional[str] = None
-    quota_bytes: Optional[int] = None
-    public: bool = False             # anyone may pull (pushes stay gated)
-    digests: set[str] = field(default_factory=set)
-    bytes_used: int = 0              # unique blob bytes under this tenant
-    pushes: int = 0
-    pulls: int = 0
-    quota_rejections: int = 0
-    auth_rejections: int = 0
-
-    def stats(self) -> dict:
-        """This tenant's view only — never names another tenant's blobs."""
-        return {
-            "tenant": self.name,
-            "bytes_used": self.bytes_used,
-            "quota_bytes": self.quota_bytes,
-            "blobs": len(self.digests),
-            "digests": sorted(self.digests),
-            "pushes": self.pushes,
-            "pulls": self.pulls,
-            "quota_rejections": self.quota_rejections,
-            "auth_rejections": self.auth_rejections,
-        }
 
 
 # --------------------------------------------------------------------------
 # The fleet
 
 
-class RegistryFleet:
-    """N registry shards behind one consistent-hash front door.
+class RegistryFleet(Registry):
+    """N blob shards behind one consistent-hash front door.
 
-    Implements the :class:`Registry` surface (push / pull / fetch_blob /
-    manifest / cache export-import), so every existing client — Podman
-    push, ch-image pull, the tree-broadcast distributor — works against a
-    fleet unchanged.  Blob *bytes* are sharded and replicated; manifests
-    (tiny metadata) are mirrored to every shard, the way production
-    registries back metadata with a shared database.
+    A :class:`Registry` whose blob plane is sharded and replicated: the
+    one metadata table and every request path (push, pull, cache
+    export/import, tenancy, signing, verify-on-pull) are inherited, so
+    every client works against a fleet unchanged.  The front door counts
+    every placed blob as pushed — unlike a single registry it books no
+    dedup skips — and routes pulls to the nearest live holder.
     """
 
     def __init__(self, name: str, *, n_shards: int, replicas: int = 1,
@@ -328,7 +322,8 @@ class RegistryFleet:
         if not 1 <= replicas <= n_shards:
             raise FleetError(
                 f"replicas must be in [1, {n_shards}]: {replicas}")
-        self.name = name
+        super().__init__(name)
+        self.store = None                # blobs live on the shards
         self.replicas = replicas
         self.shards: list[RegistryShard] = [
             RegistryShard(f"{name}.s{i:02d}", queue_limit=queue_limit,
@@ -338,46 +333,27 @@ class RegistryFleet:
         ]
         self._by_name = {s.name: s for s in self.shards}
         self.ring = HashRing((s.name for s in self.shards), vnodes=vnodes)
-        self.tenants: dict[str, Tenant] = {}
-        self.stats = TransferStats()     # front-door accounting
         self.rebalance_bytes = 0         # shard-to-shard fill traffic
         self.rebalance_blobs = 0
         #: Optional sim clock; admission control needs time to queue
         #: against, so backpressure is active only when a clock is bound.
         self.clock = clock
         self.tracer = tracer
-        #: Same contract as :attr:`Registry.fault_injector` — the
-        #: broadcast installs a plan injector here; its plan additionally
-        #: drives shard liveness (crash ⇒ ring re-route to replicas).
-        self.fault_injector = None
-        # every blob digest the fleet has accepted, for rebalancing
-        self._known: dict[str, int] = {}  # digest -> size
-        #: Optional :class:`~repro.supply.Signer` — when set, every push
-        #: records a signature over the manifest digest on all live
-        #: shards (sign-on-push).
-        self.signer = None
-        #: Optional :class:`~repro.supply.PolicyGate` — when set, pulls
-        #: verify the served manifest's signature and raise
-        #: :class:`~repro.errors.SupplyPolicyError` on failure.
-        self.policy_gate = None
 
     # -- time / liveness ---------------------------------------------------
 
     def _now(self) -> float:
         if self.clock is not None:
             return self.clock.now
-        if self.fault_injector is not None:
-            return self.fault_injector.clock.now
-        return 0.0
-
-    def _plan(self):
-        return None if self.fault_injector is None \
-            else self.fault_injector.plan
+        return super()._now()
 
     def _is_live(self, shard: RegistryShard, now: float) -> bool:
+        """Alive, and not crashed by the plan of an installed fault
+        injector (a crash re-routes reads to the replicas)."""
         if not shard.alive:
             return False
-        plan = self._plan()
+        plan = None if self.fault_injector is None \
+            else self.fault_injector.plan
         return plan is None or not plan.crashed_by(shard.name, now)
 
     def live_shards(self) -> list[RegistryShard]:
@@ -390,16 +366,21 @@ class RegistryFleet:
         """Shard names that must hold *digest* (primary first)."""
         return self.ring.holders(digest, self.replicas)
 
-    def route_blob(self, digest: str) -> RegistryShard:
-        """The nearest live holder of *digest*: least queue depth wins,
-        ring order breaks ties.  This is the read fan-out — and the hook
-        :func:`~repro.cluster.broadcast.distribute_blobs` uses to route
-        per-blob registry pulls instead of assuming one origin."""
+    def serving_endpoints(self, digest: Optional[str] = None) -> list:
+        """Every shard when *digest* is None, else the nearest live
+        holder of *digest*: least queue depth wins, ring order breaks
+        ties.  This is the read fan-out — and how
+        :func:`~repro.cluster.broadcast.distribute_blobs` routes per-blob
+        registry pulls instead of assuming one origin."""
+        if digest is None:
+            return list(self.shards)
+        return [self._route(digest)]
+
+    def _route(self, digest: str) -> RegistryShard:
         now = self._now()
         holders = self.blob_holders(digest)
-        live = [self._by_name[h] for h in holders
-                if self._is_live(self._by_name[h], now)]
-        live = [s for s in live if s.registry.has_blob(digest)]
+        live = [s for s in map(self._by_name.__getitem__, holders)
+                if self._is_live(s, now) and s.has_blob(digest)]
         if not live:
             raise FleetError(
                 f"{self.name}: no live shard holds {digest[:19]}... "
@@ -407,124 +388,62 @@ class RegistryFleet:
         order = {h: i for i, h in enumerate(holders)}
         return min(live, key=lambda s: (s.queue_depth(now), order[s.name]))
 
-    def _manifest_shard(self) -> RegistryShard:
-        """Any live shard can answer metadata (manifests are mirrored)."""
-        live = self.live_shards()
-        if not live:
-            raise FleetError(f"{self.name}: no live shards")
-        return live[0]
+    def _resident(self, digest: str) -> RegistryShard:
+        """A shard holding *digest* at rest: its placement first, then
+        any shard (a copy a rebalance has not yet released)."""
+        for shard in map(self._by_name.__getitem__,
+                         self.blob_holders(digest)):
+            if shard.has_blob(digest):
+                return shard
+        for shard in self.shards:
+            if shard.has_blob(digest):
+                return shard
+        raise FleetError(f"{self.name}: no blob {digest[:19]}...")
 
-    # -- tenancy -----------------------------------------------------------
+    # -- blob plane: ring placement over the shards ------------------------
 
-    def add_tenant(self, name: str, *, token: Optional[str] = None,
-                   quota_bytes: Optional[int] = None,
-                   public: bool = False) -> Tenant:
-        if "/" in name:
-            raise FleetError(f"tenant names are single path segments: "
-                             f"{name!r}")
-        tenant = Tenant(name, token=token, quota_bytes=quota_bytes,
-                        public=public)
-        self.tenants[name] = tenant
-        return tenant
+    def has_blob(self, digest: str) -> bool:
+        return any(s.has_blob(digest) for s in self.shards)
 
-    def tenant_stats(self, name: str) -> dict:
-        try:
-            return self.tenants[name].stats()
-        except KeyError:
-            raise FleetError(f"{self.name}: unknown tenant {name!r}")
+    def blob_size(self, digest: str) -> int:
+        return self._resident(digest).blob_size(digest)
 
-    def _tenant_of(self, repository: str) -> Optional[Tenant]:
-        head = repository.split("/", 1)[0]
-        return self.tenants.get(head)
+    def blob_at_rest(self, digest: str) -> bytes:
+        return self._resident(digest).fetch_blob(digest)
 
-    def _authorize(self, tenant: Optional[Tenant], token: Optional[str],
-                   op: str) -> None:
-        if tenant is None:
-            return                       # unregistered namespace: open
-        if op == "pull" and tenant.public:
-            return
-        if token != tenant.token or tenant.token is None:
-            tenant.auth_rejections += 1
-            raise FleetAuthError(
-                f"{self.name}: {op} to tenant {tenant.name!r} denied "
-                f"(bad or missing token)")
+    def storage_bytes(self) -> int:
+        """Bytes at rest across all shards (replication included)."""
+        return sum(s.storage_bytes() for s in self.shards)
 
-    def _reserve_quota(self, tenant: Optional[Tenant],
-                       blobs: Sequence[bytes]) -> dict[str, int]:
-        """Check the quota without mutating the ledger; returns the
-        not-yet-charged digests (digest -> size) for :meth:`_commit_quota`.
-
-        Charging is transactional: the ledger moves only after every
-        blob of the request is placed, so a mid-request failure (no live
-        shard, injected push fault) leaves ``bytes_used``/``digests``
-        exactly as they were — the ledger always equals stored bytes."""
-        if tenant is None:
-            return {}
-        new = {}
-        for blob in blobs:
-            d = blob_digest(blob)
-            if d not in tenant.digests:
-                new[d] = len(blob)
-        added = sum(new.values())
-        if tenant.quota_bytes is not None \
-                and tenant.bytes_used + added > tenant.quota_bytes:
-            tenant.quota_rejections += 1
-            raise FleetQuotaError(
-                f"{self.name}: tenant {tenant.name!r} quota exhausted "
-                f"({tenant.bytes_used} + {added} > {tenant.quota_bytes} B)",
-                retry_at=self._now())
-        return new
-
-    def _commit_quota(self, tenant: Optional[Tenant],
-                      new: dict[str, int]) -> None:
-        if tenant is None:
-            return
-        tenant.digests.update(new)
-        tenant.bytes_used += sum(new.values())
-
-    # -- blob plane --------------------------------------------------------
-
-    def _place_blob(self, blob: bytes,
-                    txn: Optional[list[tuple[str, int]]] = None) -> str:
-        """Write *blob* to its primary holder and fill the replicas
-        shard-to-shard; returns the digest.  With *txn*, blobs the fleet
-        did not previously know are recorded so a failed multi-blob
-        request can roll them back with :meth:`_unplace`."""
-        digest = blob_digest(blob)
+    def _store_blob(self, digest: str, blob: bytes) -> bool:
+        """Write *blob* to its first live holder and fill the other live
+        holders shard-to-shard.  Every placement is counted as pushed."""
         now = self._now()
-        holders = [self._by_name[h] for h in self.blob_holders(digest)]
-        live = [s for s in holders if self._is_live(s, now)]
+        live = [s for s in map(self._by_name.__getitem__,
+                               self.blob_holders(digest))
+                if self._is_live(s, now)]
         if not live:
             raise FleetError(
                 f"{self.name}: no live shard to place {digest[:19]}...")
-        fresh = digest not in self._known
         primary = live[0]
-        primary.registry.put_blob(blob)
-        self.stats.blobs_pushed += 1
-        self.stats.bytes_pushed += len(blob)
-        self._known[digest] = len(blob)
-        if txn is not None and fresh:
-            txn.append((digest, len(blob)))
-        fill = [s for s in live[1:] if not s.registry.has_blob(digest)]
+        primary.hold(digest, blob)
+        fill = [s for s in live[1:] if not s.has_blob(digest)]
         if fill:
             self._fill(primary, [digest], fill)
-        return digest
+        return True
 
-    def _unplace(self, txn: list[tuple[str, int]]) -> None:
-        """Roll back the placements of a failed request: every blob the
-        fleet first learned of in this request is dropped from all
-        shards, forgotten, and its bytes removed from the front-door
-        push counters — so accepted bytes always equal stored bytes.
-        Blobs that pre-existed the request are left alone (another image
-        or tenant legitimately references them)."""
-        for digest, size in reversed(txn):
-            if digest not in self._known:
-                continue
-            for shard in self.shards:
-                shard.registry.drop_blob(digest)
-            del self._known[digest]
-            self.stats.blobs_pushed -= 1
-            self.stats.bytes_pushed -= size
+    def _serve_blob(self, digest: str) -> bytes:
+        """Ring routing and admission, then the shard serves."""
+        shard = self._route(digest)
+        if self.clock is not None:
+            now = self._now()
+            shard.check_admission(now)
+            shard.reserve(now, shard.blob_size(digest))
+        return shard.serve(digest)
+
+    def _drop_blob(self, digest: str) -> None:
+        for shard in self.shards:
+            shard.drop(digest)
 
     def _fill(self, origin: RegistryShard, digests: Sequence[str],
               targets: Sequence[RegistryShard]) -> None:
@@ -533,139 +452,27 @@ class RegistryFleet:
         the origin is hit once per blob, peers re-serve.  The moved bytes
         are accounted as rebalance traffic, not client traffic."""
         from .broadcast import distribute_blobs, make_deploy_topology
-        snap = _transfer_snapshot(origin.registry.stats)
-        topo = make_deploy_topology(origin.registry, targets)
-        rep = distribute_blobs(origin.registry, list(digests), targets,
-                               topo, strategy="tree")
-        # internal fill must not masquerade as client pulls on the origin
-        _transfer_restore(origin.registry.stats, snap)
-        self.rebalance_bytes += rep.registry_egress_bytes + rep.peer_bytes
+        topo = make_deploy_topology(origin, targets)
+        rep = distribute_blobs(origin, list(digests), targets, topo,
+                               strategy="tree")
+        moved = rep.registry_egress_bytes + rep.peer_bytes
+        self.rebalance_bytes += moved
         self.rebalance_blobs += rep.blobs * len(targets)
         for shard in targets:
             for digest in digests:
-                shard.registry.adopt_blob(digest)
+                shard.hold(digest)
         if self.tracer is not None:
-            self.tracer.metrics.count_net(
-                "fleet_rebalance_bytes",
-                rep.registry_egress_bytes + rep.peer_bytes)
+            self.tracer.metrics.count_net("fleet_rebalance_bytes", moved)
 
-    def has_blob(self, digest: str) -> bool:
-        return any(s.registry.has_blob(digest) for s in self.shards)
-
-    def blob_size(self, digest: str) -> int:
-        for name in self.blob_holders(digest):
-            shard = self._by_name[name]
-            if shard.registry.has_blob(digest):
-                return shard.registry.blob_size(digest)
-        raise FleetError(f"{self.name}: no blob {digest[:19]}...")
-
-    def fetch_blob(self, digest: str, *, local_store=None) -> bytes:
-        """Pull one blob through the front door: local CAS short-circuit,
-        flake injection, ring routing, admission, then the shard serves."""
-        if local_store is not None and local_store.has(digest):
-            blob = local_store.get(digest)
-            self.stats.blobs_pull_skipped += 1
-            self.stats.bytes_pull_skipped += len(blob)
-            return blob
-        if self.fault_injector is not None:
-            self.fault_injector.check("fetch_blob")
-        shard = self.route_blob(digest)
-        now = self._now()
-        if self.clock is not None:
-            shard.check_admission(now)
-            shard.reserve(now, shard.registry.blob_size(digest))
-        blob = shard.registry.fetch_blob(digest)
-        shard.stats.served_blobs += 1
-        shard.stats.served_bytes += len(blob)
-        self.stats.blobs_pulled += 1
-        self.stats.bytes_pulled += len(blob)
-        if local_store is not None:
-            local_store.put(blob)
-        return blob
-
-    # -- push / pull -------------------------------------------------------
-
-    def push(self, ref: ImageRef | str, config: ImageConfig,
-             layers: Iterable[object], *,
-             token: Optional[str] = None,
-             attestations: Optional[dict[str, bytes]] = None) -> Manifest:
-        """Push an image; with *attestations* (kind -> statement bytes),
-        the statements are placed as content-addressed blobs, charged to
-        the tenant's quota with the layers, and recorded on every live
-        shard.  Placement and charging are all-or-nothing."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        layers = list(layers)
-        tenant = self._tenant_of(ref.repository)
-        att_blobs = dict(sorted(attestations.items())) if attestations \
-            else {}
-        with maybe_span(self.tracer,
-                        f"fleet-push {ref.repository}:{ref.tag}", "push",
-                        fleet=self.name, layers=len(layers)):
-            if self.fault_injector is not None:
-                self.fault_injector.check("push")
-            self._authorize(tenant, token, "push")
-            serialized = [layer.serialize() for layer in layers]
-            if not serialized:
-                raise FleetError("cannot push an image with no layers")
-            new = self._reserve_quota(
-                tenant, serialized + list(att_blobs.values()))
-            txn: list[tuple[str, int]] = []
-            try:
-                digests = tuple(self._place_blob(blob, txn=txn)
-                                for blob in serialized)
-                att_digests = {kind: self._place_blob(blob, txn=txn)
-                               for kind, blob in att_blobs.items()}
-            except Exception:
-                self._unplace(txn)
-                raise
-            self._commit_quota(tenant, new)
-            manifest = Manifest(config=config, layers=digests)
-            signature = (self.signer.sign(manifest.digest())
-                         if self.signer is not None else None)
-            now = self._now()
-            for shard in self.shards:
-                if self._is_live(shard, now):
-                    shard.registry.put_manifest(ref, manifest)
-                    if att_digests:
-                        shard.registry.record_attestations(ref, att_digests)
-                    if signature is not None:
-                        shard.registry.record_signature(ref, signature)
-            if signature is not None:
-                self._count_supply("signed")
-            if att_digests:
-                self._count_supply("attested")
-            if tenant is not None:
-                tenant.pushes += 1
-        return manifest
-
-    def pull(self, ref: ImageRef | str, *, arch: Optional[str] = None,
-             local_store=None, token: Optional[str] = None):
-        from ..archive import TarArchive
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        tenant = self._tenant_of(ref.repository)
-        with maybe_span(self.tracer,
-                        f"fleet-pull {ref.repository}:{ref.tag}", "pull",
-                        fleet=self.name):
-            self._authorize(tenant, token, "pull")
-            manifest = self.manifest(ref, arch=arch)
-            self._verify_served(ref, manifest)
-            layers = [TarArchive.deserialize(
-                          self.fetch_blob(d, local_store=local_store))
-                      for d in manifest.layers]
-            if tenant is not None:
-                tenant.pulls += 1
-        return manifest.config, layers
+    # -- the workload generator's request path -----------------------------
 
     def timed_pull(self, ref: ImageRef | str, *,
-                   now: Optional[float] = None, arch: Optional[str] = None,
-                   local_store=None, token: Optional[str] = None) -> float:
+                   now: Optional[float] = None,
+                   token: Optional[str] = None) -> float:
         """One workload-generator pull: route and *admission-check every
         layer first* (all-or-nothing, so a rejected request reserves no
         service and no bytes are double-counted on retry), then reserve
         and serve; returns the virtual completion time."""
-        from ..archive import TarArchive
         if isinstance(ref, str):
             ref = ImageRef.parse(ref)
         now = self._now() if now is None else now
@@ -673,156 +480,24 @@ class RegistryFleet:
         self._authorize(tenant, token, "pull")
         if self.fault_injector is not None:
             self.fault_injector.check("fetch_blob")
-        manifest = self.manifest(ref, arch=arch)
+        manifest = self.manifest(ref)
         self._verify_served(ref, manifest)
         planned: list[tuple[RegistryShard, str, int]] = []
         pending: dict[str, int] = {}
         for digest in manifest.layers:
-            if local_store is not None and local_store.has(digest):
-                continue
-            shard = self.route_blob(digest)
+            shard = self._route(digest)
             shard.check_admission(now, extra=pending.get(shard.name, 0))
             pending[shard.name] = pending.get(shard.name, 0) + 1
-            planned.append((shard, digest,
-                            shard.registry.blob_size(digest)))
+            planned.append((shard, digest, shard.blob_size(digest)))
         end = now
         for shard, digest, size in planned:
             end = max(end, shard.reserve(now, size))
-            blob = shard.registry.fetch_blob(digest)
-            shard.stats.served_blobs += 1
-            shard.stats.served_bytes += len(blob)
+            blob = shard.serve(digest)
             self.stats.blobs_pulled += 1
             self.stats.bytes_pulled += len(blob)
-            if local_store is not None:
-                local_store.put(blob)
-                TarArchive.deserialize(blob)  # digest-checked decode
-        skipped = len(manifest.layers) - len(planned)
-        if skipped:
-            self.stats.blobs_pull_skipped += skipped
         if tenant is not None:
             tenant.pulls += 1
         return end
-
-    # -- metadata plane ----------------------------------------------------
-
-    def manifest(self, ref: ImageRef | str, *,
-                 arch: Optional[str] = None) -> Manifest:
-        return self._manifest_shard().registry.manifest(ref, arch=arch)
-
-    # -- supply-chain metadata (mirrored like manifests) -------------------
-
-    def signatures_of(self, ref: ImageRef | str) -> list:
-        return self._manifest_shard().registry.signatures_of(ref)
-
-    def record_signature(self, ref: ImageRef | str, signature) -> None:
-        now = self._now()
-        for shard in self.shards:
-            if self._is_live(shard, now):
-                shard.registry.record_signature(ref, signature)
-
-    def attestation_digests(self, ref: ImageRef | str) -> dict[str, str]:
-        return self._manifest_shard().registry.attestation_digests(ref)
-
-    def fetch_attestation(self, ref: ImageRef | str, kind: str) -> bytes:
-        """One attestation statement, read at rest (audits run fleet-
-        side, before any broadcast — no client transfer is counted)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        digests = self.attestation_digests(ref)
-        if kind not in digests:
-            raise FleetError(
-                f"{self.name}: no {kind} attestation for "
-                f"{ref.repository}:{ref.tag}")
-        return self.blob_at_rest(digests[kind])
-
-    def blob_at_rest(self, digest: str) -> bytes:
-        """One blob's bytes from any shard holding them, at rest."""
-        for name in self.blob_holders(digest):
-            shard = self._by_name[name]
-            if shard.registry.has_blob(digest):
-                return shard.registry.blob_at_rest(digest)
-        for shard in self.shards:
-            if shard.registry.has_blob(digest):
-                return shard.registry.blob_at_rest(digest)
-        raise FleetError(f"{self.name}: no blob {digest[:19]}...")
-
-    def _count_supply(self, event: str) -> None:
-        if self.tracer is not None:
-            self.tracer.metrics.count_supply(event)
-
-    def _verify_served(self, ref: ImageRef, manifest: Manifest) -> None:
-        """The pull-time supply check (see Registry._verify_served)."""
-        if not self.signatures_of(ref):
-            self._count_supply("unsigned_pull")
-        if self.policy_gate is not None:
-            self.policy_gate.verify_pull(self, ref, manifest)
-
-    def image_blob_digests(self, ref: ImageRef | str, *,
-                           arch: Optional[str] = None) -> list[str]:
-        return list(self.manifest(ref, arch=arch).layers)
-
-    def has(self, ref: ImageRef | str) -> bool:
-        return self._manifest_shard().registry.has(ref)
-
-    def tags(self, repository: str) -> list[str]:
-        return self._manifest_shard().registry.tags(repository)
-
-    def repositories(self) -> list[str]:
-        return self._manifest_shard().registry.repositories()
-
-    def history(self, repository: str) -> list[str]:
-        return self._manifest_shard().registry.history(repository)
-
-    def storage_bytes(self) -> int:
-        """Bytes at rest across all shards (replication included)."""
-        return sum(s.registry.storage_bytes() for s in self.shards)
-
-    # -- build-cache artifacts (the cached Astra workflow) -----------------
-
-    def push_cache(self, ref: ImageRef | str, manifest: bytes,
-                   blobs: Iterable[bytes], *,
-                   token: Optional[str] = None) -> str:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        tenant = self._tenant_of(ref.repository)
-        self._authorize(tenant, token, "push")
-        blobs = list(blobs)
-        new = self._reserve_quota(tenant, blobs + [manifest])
-        txn: list[tuple[str, int]] = []
-        try:
-            for blob in blobs:
-                self._place_blob(blob, txn=txn)
-            digest = self._place_blob(manifest, txn=txn)
-        except Exception:
-            self._unplace(txn)
-            raise
-        self._commit_quota(tenant, new)
-        now = self._now()
-        for shard in self.shards:
-            if self._is_live(shard, now):
-                shard.registry.put_cache_manifest(ref, digest)
-        return digest
-
-    def pull_cache(self, ref: ImageRef | str, *, local_store=None,
-                   token: Optional[str] = None
-                   ) -> tuple[bytes, Callable[[str], bytes]]:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        tenant = self._tenant_of(ref.repository)
-        self._authorize(tenant, token, "pull")
-        digest = self._manifest_shard().registry.cache_manifest_digest(ref)
-        manifest = self.fetch_blob(digest, local_store=local_store)
-
-        def fetch(d: str) -> bytes:
-            return self.fetch_blob(d, local_store=local_store)
-
-        return manifest, fetch
-
-    def cache_blob_digests(self, ref: ImageRef | str) -> list[str]:
-        return self._manifest_shard().registry.cache_blob_digests(ref)
-
-    def has_cache(self, ref: ImageRef | str) -> bool:
-        return self._manifest_shard().registry.has_cache(ref)
 
     # -- fleet operations --------------------------------------------------
 
@@ -832,8 +507,7 @@ class RegistryFleet:
         self._by_name[name].alive = False
 
     def restore_shard(self, name: str) -> None:
-        shard = self._by_name[name]
-        shard.alive = True
+        self._by_name[name].alive = True
         self.repair()
 
     def add_shard(self, *, queue_limit: Optional[int] = None) -> RegistryShard:
@@ -846,58 +520,44 @@ class RegistryFleet:
                          else self.shards[0].queue_limit),
             service_bandwidth=self.shards[0].service_bandwidth,
             service_latency=self.shards[0].service_latency)
-        # mirror metadata before the shard serves anything
-        donor = self._manifest_shard().registry
-        shard.registry.mirror_metadata_from(donor)
         self.shards.append(shard)
         self._by_name[shard.name] = shard
-        old_ring = self.ring
-        self.ring = HashRing((s.name for s in self.shards),
-                             vnodes=old_ring.vnodes)
+        self.ring.add(shard.name)
         self.rebalance()
         return shard
-
-    def _sync_metadata(self) -> None:
-        """Metadata anti-entropy.  Any live shard may answer manifest
-        lookups, so a shard that was down while pushes happened must
-        backfill manifests, cache pointers, signatures, and attestation
-        records when it returns — blob placement only moves bytes, and
-        without this a restored shard would serve blobs it cannot name."""
-        live = self.live_shards()
-        for shard in live:
-            for donor in live:
-                if donor is not shard:
-                    shard.registry.mirror_metadata_from(donor.registry)
 
     def rebalance(self) -> int:
         """Converge every known blob onto its current holder set: fill
         missing replicas shard-to-shard (grouped by origin so the tree
-        broadcast batches), release copies on ex-holders, and backfill
-        metadata onto shards that missed pushes while down.  Returns the
-        number of blob movements."""
-        self._sync_metadata()
+        broadcast batches), then release copies on ex-holders — in that
+        order, since an ex-holder may be the only origin of a fill.  An
+        ex-holder keeps its copy while a crashed holder lacks the blob:
+        it may be the last copy.  Returns the number of blob movements."""
         now = self._now()
         moved = 0
         fills: dict[str, dict[str, list[str]]] = {}  # origin -> target -> d
-        for digest in sorted(self._known):
+        release: list[tuple[RegistryShard, str]] = []
+        for digest in sorted(self._blobs):
             holders = self.blob_holders(digest)
-            holder_set = set(holders)
-            current = [s for s in self.shards
-                       if s.registry.has_blob(digest)]
+            current = [s for s in self.shards if s.has_blob(digest)]
             sources = [s for s in current if self._is_live(s, now)]
             if not sources:
                 continue
             origin = sources[0].name
+            placed = True
             for name in holders:
                 shard = self._by_name[name]
-                if self._is_live(shard, now) \
-                        and not shard.registry.has_blob(digest):
+                if shard.has_blob(digest):
+                    continue
+                if self._is_live(shard, now):
                     fills.setdefault(origin, {}).setdefault(
                         name, []).append(digest)
                     moved += 1
-            for shard in current:
-                if shard.name not in holder_set:
-                    shard.registry.drop_blob(digest)
+                else:
+                    placed = False
+            if placed:
+                release.extend((s, digest) for s in current
+                               if s.name not in holders)
         for origin, by_target in sorted(fills.items()):
             # batch: all targets missing the same digest set fill in one
             # tree; otherwise per-target
@@ -907,6 +567,8 @@ class RegistryFleet:
                     self._by_name[target])
             for digests, targets in by_digests.items():
                 self._fill(self._by_name[origin], list(digests), targets)
+        for shard, digest in release:
+            shard.drop(digest)
         return moved
 
     def repair(self) -> int:
@@ -935,20 +597,14 @@ class RegistryFleet:
         }
 
 
-def _transfer_snapshot(stats: TransferStats) -> dict:
-    return dict(stats.__dict__)
-
-
-def _transfer_restore(stats: TransferStats, snap: dict) -> None:
-    stats.__dict__.update(snap)
-
-
 def deploy_fleet(world, *, n_shards: int, replicas: int = 1,
                  name: Optional[str] = None, **kwargs) -> RegistryFleet:
     """Replace *world*'s site registry with a fleet of *n_shards*.
 
-    Existing site-registry content is re-pushed through fleet placement
-    so already-published images stay pullable; the network entry and
+    The fleet takes over the old registry's whole metadata table
+    (manifests, signatures, attestations, cache pointers, tenants) and
+    re-places its blobs through the ring, so already-published images
+    stay pullable and verifiable; the network entry and
     ``world.site_registry`` both point at the fleet afterwards, so every
     workflow (Podman push, ch-image pull, tree broadcast) routes through
     it transparently.
@@ -958,15 +614,7 @@ def deploy_fleet(world, *, n_shards: int, replicas: int = 1,
         return old
     fleet = RegistryFleet(name or old.name, n_shards=n_shards,
                           replicas=replicas, **kwargs)
-    from ..archive import TarArchive
-    for repository in old.repositories():
-        for tag in old.tags(repository):
-            ref = ImageRef(repository=repository, tag=tag)
-            # re-place every arch variant through the ring
-            for _, manifest in sorted(old.manifest_variants(ref).items()):
-                layers = [TarArchive.deserialize(old.fetch_blob(d))
-                          for d in manifest.layers]
-                fleet.push(ref, manifest.config, layers)
+    fleet.take_over(old)
     world.network.registries[fleet.name] = fleet
     world.site_registry = fleet
     return fleet

@@ -6,21 +6,46 @@ debugging with old versions, or general future reproducibility" (paper
 §4.2) — so the registry keeps every manifest it has ever seen, supports
 content-addressed blob dedup, and tracks transfer statistics for the layer
 benchmarks.
+
+The class has two planes.  The *metadata plane* — manifests and their
+log, cache-manifest pointers, signatures, attestations, the ownership
+policy, tenants and their quota ledgers — and the request paths over it
+(push, pull, cache export/import) exist once, here.  The *blob plane* is
+a handful of methods on ``self`` (``_store_blob``, ``_serve_blob``,
+``_drop_blob``, ``has_blob``, ``blob_size``, ``blob_at_rest``,
+``storage_bytes``, ``serving_endpoints``); this class implements them on
+one :class:`~repro.cas.ContentStore`, and
+:class:`~repro.cluster.fleet.RegistryFleet` implements them on sharded,
+replicated stores.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..archive import TarArchive
 from ..cas.store import CasError, ContentStore, blob_digest
-from ..errors import RegistryError
+from ..errors import RegistryError, TransientError
 from ..obs.trace import maybe_span
 from .oci import ImageConfig, ImageRef, Manifest
 
-__all__ = ["Registry", "TransferStats"]
+__all__ = ["FleetAuthError", "FleetError", "FleetQuotaError", "Registry",
+           "Tenant", "TransferStats"]
+
+
+class FleetError(RegistryError):
+    """A fleet or tenancy registry operation failed."""
+
+
+class FleetAuthError(FleetError):
+    """Missing or wrong tenant token (the 401/403 of this world)."""
+
+
+class FleetQuotaError(TransientError, FleetError):
+    """Push rejected: tenant byte quota exhausted.  Retryable — quota
+    frees up when the tenant deletes images or is re-provisioned."""
 
 
 @dataclass
@@ -49,6 +74,40 @@ class TransferStats:
         }
 
 
+@dataclass
+class Tenant:
+    """One namespace: auth token, quota, and private per-tenant stats."""
+
+    name: str
+    token: Optional[str] = None
+    quota_bytes: Optional[int] = None
+    public: bool = False             # anyone may pull (pushes stay gated)
+    digests: set[str] = field(default_factory=set)
+    bytes_used: int = 0              # unique blob bytes under this tenant
+    pushes: int = 0
+    pulls: int = 0
+    quota_rejections: int = 0
+    auth_rejections: int = 0
+
+    def stats(self) -> dict:
+        """This tenant's view only — never names another tenant's blobs."""
+        return {
+            "tenant": self.name,
+            "bytes_used": self.bytes_used,
+            "quota_bytes": self.quota_bytes,
+            "blobs": len(self.digests),
+            "digests": sorted(self.digests),
+            "pushes": self.pushes,
+            "pulls": self.pulls,
+            "quota_rejections": self.quota_rejections,
+            "auth_rejections": self.auth_rejections,
+        }
+
+
+def _parse(ref: ImageRef | str) -> ImageRef:
+    return ImageRef.parse(ref) if isinstance(ref, str) else ref
+
+
 class Registry:
     """One registry service (e.g. the GitLab Container Registry of §4.2).
 
@@ -57,12 +116,18 @@ class Registry:
     identical layers across images, repositories, and services.  Every
     blob this registry accepts is refcounted so a bounded shared store
     can never evict it — registry persistence is the §4.2 property.
+
+    Repositories are namespaced ``tenant/repo:tag``.  A registered
+    tenant's repos are private: pushes and pulls must present the
+    tenant's token, and pushes beyond its byte quota are rejected with a
+    *retryable* error.  Unregistered namespaces stay open.
     """
 
     def __init__(self, name: str, *, store: Optional[ContentStore] = None):
         self.name = name
         self.store = store if store is not None else ContentStore()
-        self._owned: set[str] = set()  # digests this registry references
+        # digest -> size of every blob this registry references
+        self._blobs: dict[str, int] = {}
         # (repo, tag) -> arch -> Manifest  (a minimal OCI manifest list)
         self._manifests: dict[tuple[str, str], dict[str, Manifest]] = {}
         self._manifest_log: list[tuple[str, str, str]] = []  # persistence
@@ -74,6 +139,7 @@ class Registry:
         self._signatures: dict[tuple[str, str], list] = {}
         # (repo, tag) -> attestation kind -> blob digest
         self._attestations: dict[tuple[str, str], dict[str, str]] = {}
+        self.tenants: dict[str, Tenant] = {}
         self.stats = TransferStats()
         #: Optional :class:`~repro.supply.Signer` — when set, every push
         #: records a signature over the manifest digest (sign-on-push).
@@ -91,35 +157,111 @@ class Registry:
         #: the plan's flake windows and callers retry per their policy.
         self.fault_injector = None
 
-    # -- blob plumbing --------------------------------------------------------------
+    def _now(self) -> float:
+        """Virtual time for retry hints: the fault plan's clock, if any."""
+        if self.fault_injector is not None:
+            return self.fault_injector.clock.now
+        return 0.0
+
+    # -- blob plane: one content store ------------------------------------------------
 
     def has_blob(self, digest: str) -> bool:
         return self.store.has(digest)
 
-    def _put_blob(self, blob: bytes) -> str:
-        digest = blob_digest(blob)
-        if self.store.has(digest):
-            # dedup hit: the bytes are already at rest (possibly pushed to
-            # another repo, or another registry on a shared store)
-            self.stats.blobs_push_skipped += 1
-            self.stats.bytes_push_skipped += len(blob)
-        else:
-            self.store.put(blob)
-            self.stats.blobs_pushed += 1
-            self.stats.bytes_pushed += len(blob)
-        if digest not in self._owned:
-            self._owned.add(digest)
-            self.store.incref(digest)
-        return digest
+    def blob_size(self, digest: str) -> int:
+        """Size at rest of one blob (no transfer is counted)."""
+        if not self.store.has(digest):
+            raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
+        return self.store.size_of(digest)
 
-    def _get_blob(self, digest: str) -> bytes:
+    def blob_at_rest(self, digest: str) -> bytes:
+        """One blob's bytes without counting a transfer (audit-side
+        reads; clients fetching over the wire use :meth:`fetch_blob`)."""
         try:
-            blob = self.store.get(digest)
+            return self.store.get(digest)
         except CasError:
             raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
-        self.stats.blobs_pulled += 1
-        self.stats.bytes_pulled += len(blob)
-        return blob
+
+    def storage_bytes(self) -> int:
+        """Bytes at rest attributable to this registry's blobs.  On a
+        shared store the sum over registries can exceed the store's
+        physical size — that gap *is* the cross-service dedup saving."""
+        return sum(self.store.size_of(d) for d in self._blobs
+                   if self.store.has(d))
+
+    def serving_endpoints(self, digest: Optional[str] = None) -> list:
+        """The network endpoints that serve blob reads: all of them when
+        *digest* is None (what a deploy topology attaches), else the one
+        a read of *digest* is routed to.  A single registry is its own
+        and only endpoint."""
+        return [self]
+
+    def _store_blob(self, digest: str, blob: bytes) -> bool:
+        """Keep *blob* at rest; returns whether its bytes crossed the
+        wire (False is a dedup hit: already in the store, possibly from
+        another repo or another registry on a shared store)."""
+        moved = not self.store.has(digest)
+        if moved:
+            self.store.put(blob)
+        if digest not in self._blobs:
+            self.store.incref(digest)
+        return moved
+
+    def _serve_blob(self, digest: str) -> bytes:
+        """Read one blob for a client transfer (the caller counts it)."""
+        return self.blob_at_rest(digest)
+
+    def _drop_blob(self, digest: str) -> None:
+        """Release one blob a failed request placed."""
+        self.store.decref(digest)
+        self.store.discard(digest)
+
+    # -- blob accounting + transactions -----------------------------------------------
+
+    def _put_blob(self, blob: bytes,
+                  txn: Optional[list[tuple[str, bool]]] = None) -> str:
+        digest = blob_digest(blob)
+        fresh = digest not in self._blobs
+        moved = self._store_blob(digest, blob)
+        if moved:
+            self.stats.blobs_pushed += 1
+            self.stats.bytes_pushed += len(blob)
+        else:
+            self.stats.blobs_push_skipped += 1
+            self.stats.bytes_push_skipped += len(blob)
+        if fresh:
+            self._blobs[digest] = len(blob)
+            if txn is not None:
+                txn.append((digest, moved))
+        return digest
+
+    def _accept(self, tenant: Optional[Tenant],
+                blobs: Sequence[bytes]) -> list[str]:
+        """Charge, place, and commit *blobs* all-or-nothing: the quota is
+        checked first, and a placement failure part-way through drops
+        every blob this request introduced and un-counts it — so the
+        tenant ledger and the push counters always match stored bytes.
+        Blobs that pre-existed the request are left alone (another image
+        or tenant legitimately references them)."""
+        new = self._reserve_quota(tenant, blobs)
+        txn: list[tuple[str, bool]] = []
+        try:
+            digests = [self._put_blob(blob, txn) for blob in blobs]
+        except Exception:
+            for digest, moved in reversed(txn):
+                size = self._blobs.pop(digest)
+                self._drop_blob(digest)
+                if moved:
+                    self.stats.blobs_pushed -= 1
+                    self.stats.bytes_pushed -= size
+                else:
+                    self.stats.blobs_push_skipped -= 1
+                    self.stats.bytes_push_skipped -= size
+            raise
+        if tenant is not None:
+            tenant.digests.update(new)
+            tenant.bytes_used += sum(new.values())
+        return digests
 
     def fetch_blob(self, digest: str, *,
                    local_store: Optional[ContentStore] = None) -> bytes:
@@ -135,152 +277,103 @@ class Registry:
             return blob
         if self.fault_injector is not None:
             self.fault_injector.check("fetch_blob")
-        blob = self._get_blob(digest)
+        blob = self._serve_blob(digest)
+        self.stats.blobs_pulled += 1
+        self.stats.bytes_pulled += len(blob)
         if local_store is not None:
             local_store.put(blob)
         return blob
 
-    def blob_size(self, digest: str) -> int:
-        """Size at rest of one blob (no transfer is counted)."""
-        if not self.store.has(digest):
-            raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
-        return self.store.size_of(digest)
+    # -- tenancy ----------------------------------------------------------------------
 
-    # -- fleet plumbing: shard-side primitives the RegistryFleet composes ----------------
+    def add_tenant(self, name: str, *, token: Optional[str] = None,
+                   quota_bytes: Optional[int] = None,
+                   public: bool = False) -> Tenant:
+        if "/" in name:
+            raise FleetError(f"tenant names are single path segments: "
+                             f"{name!r}")
+        tenant = Tenant(name, token=token, quota_bytes=quota_bytes,
+                        public=public)
+        self.tenants[name] = tenant
+        return tenant
 
-    def put_blob(self, blob: bytes) -> str:
-        """Accept one raw blob (a fleet shard receiving its placement);
-        counted like a layer push, dedup included."""
-        return self._put_blob(blob)
+    def tenant_stats(self, name: str) -> dict:
+        try:
+            return self.tenants[name].stats()
+        except KeyError:
+            raise FleetError(f"{self.name}: unknown tenant {name!r}")
 
-    def adopt_blob(self, digest: str) -> None:
-        """Register an already-resident blob as owned — the peer-to-peer
-        replica/rebalance fill path, whose bytes arrive via the broadcast
-        fabric and are accounted there, so *no* transfer is counted here
-        (the zero-double-counting invariant)."""
-        if not self.store.has(digest):
-            raise RegistryError(
-                f"{self.name}: cannot adopt absent blob {digest[:19]}...")
-        if digest not in self._owned:
-            self._owned.add(digest)
-            self.store.incref(digest)
+    def _tenant_of(self, repository: str) -> Optional[Tenant]:
+        return self.tenants.get(repository.split("/", 1)[0])
 
-    def drop_blob(self, digest: str) -> bool:
-        """Release ownership of one blob (rebalanced away); the bytes are
-        reclaimed unless another owner on a shared store still holds a
-        reference.  Returns whether the bytes were removed."""
-        if digest not in self._owned:
-            return False
-        self._owned.discard(digest)
-        self.store.decref(digest)
-        return self.store.discard(digest)
+    def _authorize(self, tenant: Optional[Tenant], token: Optional[str],
+                   op: str) -> None:
+        if tenant is None:
+            return                       # unregistered namespace: open
+        if op == "pull" and tenant.public:
+            return
+        if token != tenant.token or tenant.token is None:
+            tenant.auth_rejections += 1
+            raise FleetAuthError(
+                f"{self.name}: {op} to tenant {tenant.name!r} denied "
+                f"(bad or missing token)")
 
-    def owned_digests(self) -> list[str]:
-        """Every blob digest this registry owns (sorted)."""
-        return sorted(self._owned)
+    def _reserve_quota(self, tenant: Optional[Tenant],
+                       blobs: Sequence[bytes]) -> dict[str, int]:
+        """Check the quota without touching the ledger; returns the
+        not-yet-charged digests (digest -> size) :meth:`_accept` commits
+        once every blob is placed."""
+        if tenant is None:
+            return {}
+        new = {}
+        for blob in blobs:
+            d = blob_digest(blob)
+            if d not in tenant.digests:
+                new[d] = len(blob)
+        added = sum(new.values())
+        if tenant.quota_bytes is not None \
+                and tenant.bytes_used + added > tenant.quota_bytes:
+            tenant.quota_rejections += 1
+            raise FleetQuotaError(
+                f"{self.name}: tenant {tenant.name!r} quota exhausted "
+                f"({tenant.bytes_used} + {added} > {tenant.quota_bytes} B)",
+                retry_at=self._now())
+        return new
+
+    # -- metadata plane ---------------------------------------------------------------
 
     def put_manifest(self, ref: ImageRef | str, manifest: Manifest) -> None:
-        """Record a manifest whose layer blobs were placed separately
-        (fleet metadata mirroring — no blob transfer happens here)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        """Record *manifest* for *ref* (its layer blobs are placed
+        separately — no blob transfer happens here)."""
+        ref = _parse(ref)
         variants = self._manifests.setdefault((ref.repository, ref.tag), {})
         variants[manifest.config.arch] = manifest
         self._manifest_log.append((ref.repository, ref.tag,
                                    manifest.digest()))
 
-    def manifest_variants(self, ref: ImageRef | str) -> dict[str, Manifest]:
-        """All architecture variants recorded for *ref* (may be empty)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        return dict(self._manifests.get((ref.repository, ref.tag), {}))
-
-    def put_cache_manifest(self, ref: ImageRef | str, digest: str) -> None:
-        """Record a cache-manifest pointer placed separately (fleet
-        metadata mirroring)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        self._cache_manifests[(ref.repository, ref.tag)] = digest
-
-    def cache_manifest_digest(self, ref: ImageRef | str) -> str:
-        """The cache-manifest blob digest recorded for *ref*."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        try:
-            return self._cache_manifests[(ref.repository, ref.tag)]
-        except KeyError:
-            raise RegistryError(
-                f"{self.name}: cache manifest unknown: "
-                f"{ref.repository}:{ref.tag}")
-
-    def mirror_metadata_from(self, other: "Registry") -> None:
-        """Copy *other*'s manifest, cache-manifest, signature, and
-        attestation tables (a shard joining — or rejoining — the fleet
-        mirrors metadata before serving).  Blob bytes are NOT copied —
-        placement moves those."""
-        for (repo, tag), variants in other._manifests.items():
-            mine = self._manifests.setdefault((repo, tag), {})
-            mine.update(variants)
-        self._manifest_log.extend(
-            e for e in other._manifest_log if e not in self._manifest_log)
-        self._cache_manifests.update(other._cache_manifests)
-        for key, sigs in other._signatures.items():
-            mine_sigs = self._signatures.setdefault(key, [])
-            mine_sigs.extend(s for s in sigs if s not in mine_sigs)
-        for key, kinds in other._attestations.items():
-            self._attestations.setdefault(key, {}).update(kinds)
-
-    # -- supply-chain metadata: signatures + attestations --------------------------------
-
     def record_signature(self, ref: ImageRef | str, signature) -> None:
-        """Attach a detached signature to *ref* (fleet metadata
-        mirroring, or sign-on-push).  Signatures accumulate — one per
+        """Attach a detached signature to *ref* (sign-on-push, or a
+        signer working out of band).  Signatures accumulate — one per
         signed manifest variant; verification matches on payload."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
         sigs = self._signatures.setdefault((ref.repository, ref.tag), [])
         if signature not in sigs:
             sigs.append(signature)
 
     def signatures_of(self, ref: ImageRef | str) -> list:
         """Every signature recorded for *ref* (may be empty)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
         return list(self._signatures.get((ref.repository, ref.tag), ()))
-
-    def put_attestations(self, ref: ImageRef | str,
-                         blobs: dict[str, bytes]) -> dict[str, str]:
-        """Accept attestation blobs (SBOM, provenance) for *ref*: each
-        becomes a content-addressed blob, counted like a layer push
-        (dedup included); returns kind -> digest."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        digests = {kind: self._put_blob(blob)
-                   for kind, blob in sorted(blobs.items())}
-        self._attestations.setdefault(
-            (ref.repository, ref.tag), {}).update(digests)
-        return digests
-
-    def record_attestations(self, ref: ImageRef | str,
-                            digests: dict[str, str]) -> None:
-        """Record attestation pointers whose blobs were placed separately
-        (fleet metadata mirroring — no blob transfer happens here)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        self._attestations.setdefault(
-            (ref.repository, ref.tag), {}).update(digests)
 
     def attestation_digests(self, ref: ImageRef | str) -> dict[str, str]:
         """kind -> blob digest of every attestation on *ref*."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
         return dict(self._attestations.get((ref.repository, ref.tag), {}))
 
     def fetch_attestation(self, ref: ImageRef | str, kind: str) -> bytes:
         """One attestation statement, read at rest (no transfer counted
         — audits run registry-side, not over the wire)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
         digests = self._attestations.get((ref.repository, ref.tag), {})
         if kind not in digests:
             raise RegistryError(
@@ -288,13 +381,26 @@ class Registry:
                 f"{ref.repository}:{ref.tag}")
         return self.blob_at_rest(digests[kind])
 
-    def blob_at_rest(self, digest: str) -> bytes:
-        """One blob's bytes without counting a transfer (audit-side
-        reads; clients fetching over the wire use :meth:`fetch_blob`)."""
-        try:
-            return self.store.get(digest)
-        except CasError:
-            raise RegistryError(f"{self.name}: no blob {digest[:19]}...")
+    def take_over(self, other: "Registry") -> None:
+        """Stand in for *other*: carry its whole metadata table —
+        manifests and their log, cache pointers, signatures,
+        attestations, ownership policies, tenants and their ledgers —
+        and re-place every blob it holds through this registry's blob
+        plane (counted as pushes)."""
+        for digest in sorted(other._blobs):
+            self._put_blob(other.blob_at_rest(digest))
+        for key, variants in other._manifests.items():
+            self._manifests.setdefault(key, {}).update(variants)
+        self._manifest_log.extend(other._manifest_log)
+        self._cache_manifests.update(other._cache_manifests)
+        for key, sigs in other._signatures.items():
+            mine = self._signatures.setdefault(key, [])
+            mine.extend(s for s in sigs if s not in mine)
+        for key, kinds in other._attestations.items():
+            self._attestations.setdefault(key, {}).update(kinds)
+        self._policies.update(other._policies)
+        self.tenants.update({n: replace(t, digests=set(t.digests))
+                             for n, t in other.tenants.items()})
 
     def _count_supply(self, event: str) -> None:
         if self.tracer is not None:
@@ -332,51 +438,68 @@ class Registry:
     # -- push / pull ------------------------------------------------------------------
 
     def push(self, ref: ImageRef | str, config: ImageConfig,
-             layers: Iterable[TarArchive]) -> Manifest:
+             layers: Iterable[TarArchive], *,
+             token: Optional[str] = None,
+             attestations: Optional[dict[str, bytes]] = None) -> Manifest:
         """Push an image: layers become content-addressed blobs (already-
-        present layers are not re-sent, like real registries)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        present layers are not re-sent, like real registries).  With
+        *attestations* (kind -> statement bytes), the statements become
+        blobs too, charged to the tenant's quota with the layers.
+        Placement and charging are all-or-nothing."""
+        ref = _parse(ref)
         layers = list(layers)
+        tenant = self._tenant_of(ref.repository)
+        att_blobs = dict(sorted(attestations.items())) if attestations \
+            else {}
         with maybe_span(self.tracer,
                         f"push {ref.repository}:{ref.tag}", "push",
                         registry=self.name, layers=len(layers)):
             if self.fault_injector is not None:
                 self.fault_injector.check("push")
+            self._authorize(tenant, token, "push")
             self._check_policy(ref, layers)
-            digests = tuple(self._put_blob(layer.serialize())
-                            for layer in layers)
-            if not digests:
+            blobs = [layer.serialize() for layer in layers]
+            if not blobs:
                 raise RegistryError("cannot push an image with no layers")
-            manifest = Manifest(config=config, layers=digests)
-            variants = self._manifests.setdefault(
-                (ref.repository, ref.tag), {})
-            variants[config.arch] = manifest
-            self._manifest_log.append((ref.repository, ref.tag,
-                                       manifest.digest()))
+            digests = self._accept(tenant, blobs + list(att_blobs.values()))
+            manifest = Manifest(config=config,
+                                layers=tuple(digests[:len(blobs)]))
+            self.put_manifest(ref, manifest)
+            if att_blobs:
+                self._attestations.setdefault(
+                    (ref.repository, ref.tag), {}).update(
+                        zip(att_blobs, digests[len(blobs):]))
             if self.signer is not None:
                 self.record_signature(ref,
                                       self.signer.sign(manifest.digest()))
                 self._count_supply("signed")
+            if att_blobs:
+                self._count_supply("attested")
+            if tenant is not None:
+                tenant.pushes += 1
         return manifest
 
     def pull(self, ref: ImageRef | str, *, arch: Optional[str] = None,
-             local_store: Optional[ContentStore] = None
+             local_store: Optional[ContentStore] = None,
+             token: Optional[str] = None
              ) -> tuple[ImageConfig, list[TarArchive]]:
         """Pull an image (optionally a specific architecture variant);
         returns (config, layers base-first).  With *local_store* (the
         pulling node's CAS), layer blobs already held locally are not
         re-sent over the wire — the pull-side mirror of push dedup."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
+        tenant = self._tenant_of(ref.repository)
         with maybe_span(self.tracer,
                         f"pull {ref.repository}:{ref.tag}", "pull",
                         registry=self.name):
+            self._authorize(tenant, token, "pull")
             manifest = self.manifest(ref, arch=arch)
             self._verify_served(ref, manifest)
             layers = [TarArchive.deserialize(
                           self.fetch_blob(d, local_store=local_store))
                       for d in manifest.layers]
+            if tenant is not None:
+                tenant.pulls += 1
         return manifest.config, layers
 
     def image_blob_digests(self, ref: ImageRef | str, *,
@@ -387,8 +510,7 @@ class Registry:
 
     def manifest(self, ref: ImageRef | str, *,
                  arch: Optional[str] = None) -> Manifest:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
         try:
             variants = self._manifests[(ref.repository, ref.tag)]
         except KeyError:
@@ -414,38 +536,42 @@ class Registry:
     # -- build-cache manifests (BuildKit-style cache export) ---------------------------
 
     def push_cache(self, ref: ImageRef | str, manifest: bytes,
-                   blobs: Iterable[bytes]) -> str:
+                   blobs: Iterable[bytes], *,
+                   token: Optional[str] = None) -> str:
         """Accept a build-cache export: the diff blobs plus the JSON cache
         manifest naming them, tracked under *ref* like an OCI artifact.
-        Already-present blobs are deduplicated like layers; returns the
-        manifest blob digest."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        Already-present blobs are deduplicated like layers, and charging
+        is all-or-nothing like a push; returns the manifest blob digest."""
+        ref = _parse(ref)
         blobs = list(blobs)
+        tenant = self._tenant_of(ref.repository)
         with maybe_span(self.tracer,
                         f"push-cache {ref.repository}:{ref.tag}", "push",
                         registry=self.name, blobs=len(blobs)):
-            for blob in blobs:
-                self._put_blob(blob)
-            digest = self._put_blob(manifest)
+            self._authorize(tenant, token, "push")
+            digest = self._accept(tenant, blobs + [manifest])[-1]
             self._cache_manifests[(ref.repository, ref.tag)] = digest
         return digest
 
+    def _cache_manifest_of(self, ref: ImageRef) -> str:
+        try:
+            return self._cache_manifests[(ref.repository, ref.tag)]
+        except KeyError:
+            raise RegistryError(
+                f"{self.name}: cache manifest unknown: "
+                f"{ref.repository}:{ref.tag}")
+
     def pull_cache(self, ref: ImageRef | str, *,
-                   local_store: Optional[ContentStore] = None
+                   local_store: Optional[ContentStore] = None,
+                   token: Optional[str] = None
                    ) -> tuple[bytes, Callable[[str], bytes]]:
         """Fetch a cache manifest pushed by :meth:`push_cache`; returns
         ``(manifest_bytes, fetch)`` where *fetch* retrieves diff blobs by
         digest (and counts them as pulled, or as pull-skips when
         *local_store* already holds them)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        try:
-            digest = self._cache_manifests[(ref.repository, ref.tag)]
-        except KeyError:
-            raise RegistryError(
-                f"{self.name}: cache manifest unknown: "
-                f"{ref.repository}:{ref.tag}")
+        ref = _parse(ref)
+        self._authorize(self._tenant_of(ref.repository), token, "pull")
+        digest = self._cache_manifest_of(ref)
         with maybe_span(self.tracer,
                         f"pull-cache {ref.repository}:{ref.tag}", "pull",
                         registry=self.name):
@@ -460,15 +586,8 @@ class Registry:
         """Every blob a cache import of *ref* would transfer: the diff
         blobs the manifest names, then the manifest blob itself (no
         transfer is counted — this is planning data for a distributor)."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        try:
-            digest = self._cache_manifests[(ref.repository, ref.tag)]
-        except KeyError:
-            raise RegistryError(
-                f"{self.name}: cache manifest unknown: "
-                f"{ref.repository}:{ref.tag}")
-        manifest = json.loads(self.store.get(digest))
+        digest = self._cache_manifest_of(_parse(ref))
+        manifest = json.loads(self.blob_at_rest(digest))
         diffs = [entry["diff"] for entry in manifest.get("records", ())]
         # preserve first-seen order, dedup (records may share diffs)
         seen: set[str] = set()
@@ -476,13 +595,11 @@ class Registry:
         return ordered + [digest]
 
     def has_cache(self, ref: ImageRef | str) -> bool:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
         return (ref.repository, ref.tag) in self._cache_manifests
 
     def has(self, ref: ImageRef | str) -> bool:
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
+        ref = _parse(ref)
         return (ref.repository, ref.tag) in self._manifests
 
     def tags(self, repository: str) -> list[str]:
@@ -495,10 +612,3 @@ class Registry:
         """All manifest digests ever pushed to *repository* (old versions
         stay reachable — the §4.2 persistence property)."""
         return [d for (r, _, d) in self._manifest_log if r == repository]
-
-    def storage_bytes(self) -> int:
-        """Bytes at rest attributable to this registry's blobs.  On a
-        shared store the sum over registries can exceed the store's
-        physical size — that gap *is* the cross-service dedup saving."""
-        return sum(self.store.size_of(d) for d in self._owned
-                   if self.store.has(d))

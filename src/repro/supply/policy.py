@@ -7,12 +7,11 @@ of the SBOM, a per-layer size budget — into one audit that runs
 a full :class:`AuditReport` (violations included); ``check`` raises
 :class:`~repro.errors.SupplyPolicyError` when the report has any.
 
-The gate works against anything with the registry metadata surface:
-``manifest`` / ``signatures_of`` / ``attestation_digests`` /
-``fetch_attestation`` / ``blob_at_rest`` — both :class:`Registry` and
-:class:`RegistryFleet` provide it, so the same gate guards a single
-service and a sharded fleet.  Audit reads are at-rest (no transfer is
-counted): the gate runs registry-side, not over the wire.
+The gate reads a :class:`~repro.containers.Registry`'s metadata
+surface (``manifest`` / ``signatures_of`` / ``attestation_digests`` /
+``fetch_attestation`` / ``blob_at_rest``), so the same gate guards a
+single service and a sharded fleet.  Audit reads are at-rest (no
+transfer is counted): the gate runs registry-side, not over the wire.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def make_fleet(*, queue_limit=None):
 
 
 def shard_pull_bytes(fleet):
-    return sum(s.registry.stats.bytes_pulled for s in fleet.shards)
+    return sum(s.stats.served_bytes for s in fleet.shards)
 
 
 def served_bytes(fleet):
