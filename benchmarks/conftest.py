@@ -14,8 +14,12 @@ import pytest
 
 from repro.cluster import make_machine, make_world
 
-#: where committed benchmark artifacts land (the repo root)
-BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent
+#: the repo root, where the committed ``BENCH_<name>.json`` baselines live
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: where regenerated artifacts land (gitignored); ``benchmarks/gate.py``
+#: compares them against the committed baselines in :data:`ROOT`
+BENCH_OUT = ROOT / ".bench_out"
 
 FIG2_DOCKERFILE = """\
 FROM centos:7
@@ -84,10 +88,13 @@ def report(title: str, rows: list[tuple[str, str]]) -> None:
 
 
 def write_bench(name: str, payload: dict) -> pathlib.Path:
-    """Write the committed ``BENCH_<name>.json`` artifact a smoke CI job
-    gates on.  One emitter for every ``test_scaling_*`` file: stable key
-    order, 2-space indent, trailing newline — so regenerated artifacts
-    diff cleanly."""
-    path = BENCH_DIR / f"BENCH_{name}.json"
+    """Write a regenerated ``.bench_out/BENCH_<name>.json`` artifact.
+    One emitter for every ``test_scaling_*`` file: stable key order,
+    2-space indent, trailing newline — so a regenerated artifact diffs
+    cleanly against the committed baseline at the repo root, which
+    ``benchmarks/gate.py`` gates it on (refresh a baseline by copying
+    the artifact over it)."""
+    BENCH_OUT.mkdir(exist_ok=True)
+    path = BENCH_OUT / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path

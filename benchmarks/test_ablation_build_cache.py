@@ -79,7 +79,7 @@ N_RUNS = ATSE_DOCKERFILE.count("RUN ")
 
 def test_ablation_chimage_cold_vs_warm(login, alice):
     """A warm rebuild executes zero RUN instructions and ≥85% fewer
-    syscalls than the cold build — the CI cache-smoke criterion.  (The
+    syscalls than the cold build.  (The
     syscall bar was ≥90% before the journal-driven snapshot walker cut
     the *cold* build's boundary walks to O(changed); the warm build's
     diff-apply syscalls are unchanged, the denominator just shrank.)"""

@@ -11,8 +11,9 @@ Three shapes, all on the sim clock so the numbers are deterministic:
 * **Duplicate CI images**: single-flight dedup collapses the duplicate
   work — one execution, the rest wait and replay warm (``inflight_hits``).
 
-``test_ablation_build_parallelism`` also emits ``BENCH_build.json`` (the
-makespan trajectory) for the ``build-scaling-smoke`` CI job.
+``test_ablation_build_parallelism`` also writes
+``.bench_out/BENCH_build.json`` (the makespan trajectory; not gated
+against a baseline).
 """
 
 import pytest
@@ -104,7 +105,7 @@ def test_scaling_build(benchmark, parallelism):
 def test_ablation_build_parallelism():
     """The acceptance gate: N=4 makespan <= 0.6x sequential on the
     diamond, byte-identical digests at every level; emits the
-    BENCH_build.json trajectory for CI."""
+    BENCH_build.json trajectory."""
     makespan = {}
     critical_path = {}
     digests = set()

@@ -10,9 +10,13 @@ ways, asserting **bit-identical** image trees, cache keys, and cached
 diff blobs while timing the two, and gates on the walker being
 **>= 5x** faster end-to-end.
 
-Emits ``BENCH_coldbuild.json`` for the ``coldbuild-smoke`` CI job, which
-gates on speedup no worse than 0.9x the committed baseline plus digest
-identity.
+Emits ``.bench_out/BENCH_coldbuild.json``; ``benchmarks/gate.py`` gates
+it on speedup no worse than 0.9x the committed baseline, walker full
+walks no more than the baseline's, and digest identity.
+
+``test_traced_build_stays_on_the_fast_path`` checks that attaching a
+tracer (which wraps every syscall) does not knock the walker back to
+full-tree walks.
 """
 
 import time
@@ -20,6 +24,7 @@ import time
 from repro.cas.diff import snapshot_digest, snapshot_tree
 from repro.cluster import make_machine, make_world
 from repro.core import ChImage
+from repro.obs import attach_tracer
 from repro.sim import reference_engine
 from repro.sim.profile import COUNTERS
 
@@ -36,32 +41,37 @@ DOCKERFILE = f"FROM {BASE}\n" + "".join(
     for i in range(N_INSTRUCTIONS))
 
 
-def _make_base(storage) -> None:
+def _make_base(storage, n_dirs: int, per_dir: int) -> None:
     """Materialize the base image directly in storage (``pull`` returns
     early for images already present) with a pinned identity digest, the
     way a registry pull would record the manifest digest: a centos:7
-    userland plus ``N_FILES`` library files."""
+    userland plus ``n_dirs`` x ``per_dir`` library files."""
     storage.pull("centos:7")
     storage.copy("centos:7", BASE)
     path = storage.path_of(BASE)
     sys = storage.sys
-    for d in range(N_DIRS):
+    for d in range(n_dirs):
         dirpath = f"{path}/pkg{d:03d}"
         sys.mkdir(dirpath, 0o755)
-        for f in range(FILES_PER_DIR):
+        for f in range(per_dir):
             sys.write_file(f"{dirpath}/lib{f:03d}.so",
                            f"elf {d}/{f} ".encode() * 8)
     storage.set_digest(BASE, "sha256:" + "ab" * 32)
 
 
+def _builder(n_dirs: int, per_dir: int):
+    """A cache-enabled builder in a fresh world, base image in place."""
+    world = make_world(arches=("x86_64",))
+    login = make_machine("login1", network=world.network)
+    ch = ChImage(login, login.login("alice"), cache=True)
+    _make_base(ch.storage, n_dirs, per_dir)
+    return ch
+
+
 def _cold_build():
     """One fresh world, one cold cache-enabled build; returns the
     builder, wall seconds, image tree digest, and counter deltas."""
-    world = make_world(arches=("x86_64",))
-    login = make_machine("login1", network=world.network)
-    alice = login.login("alice")
-    ch = ChImage(login, alice, cache=True)
-    _make_base(ch.storage)
+    ch = _builder(N_DIRS, FILES_PER_DIR)
     before = COUNTERS.snapshot()
     t0 = time.perf_counter()
     result = ch.build(tag="app", dockerfile=DOCKERFILE)
@@ -123,3 +133,37 @@ class TestColdBuildScaling:
         assert speedup >= 5.0, (
             f"cold-build speedup {speedup:.1f}x < 5x "
             f"(ref {ref_seconds:.2f}s, walker {opt_seconds:.2f}s)")
+
+
+def _traced_build_syscalls(n_dirs: int, per_dir: int, n_runs: int) -> int:
+    """Syscalls of one traced cache-enabled build of *n_runs* RUNs on an
+    ``n_dirs`` x ``per_dir``-file base, counted by the tracer."""
+    dockerfile = f"FROM {BASE}\n" + "".join(
+        f"RUN echo step-{i} > /out{i}.txt\n" for i in range(n_runs))
+    ch = _builder(n_dirs, per_dir)
+    tracer = attach_tracer(ch.machine.kernel)
+    tracer.metrics.clear()
+    result = ch.build(tag="app", dockerfile=dockerfile, force=True)
+    assert result.success, result.text
+    return sum(tracer.metrics.syscalls.values())
+
+
+def test_traced_build_stays_on_the_fast_path():
+    """If tracing ever defeated the journal walker, a traced cached build
+    would silently cost O(tree x instructions) again.  Traced syscall
+    counts are deterministic in the sim, so the traced walker build is
+    gated at <= 25% of the traced reference build on a 1000-file base
+    (measured ~13%)."""
+    shape = dict(n_dirs=40, per_dir=25, n_runs=8)
+    opt = _traced_build_syscalls(**shape)
+    with reference_engine():
+        ref = _traced_build_syscalls(**shape)
+    ratio = opt / ref
+    report("traced cold build, 1000 files x 8 RUNs", [
+        ("walker syscalls", str(opt)),
+        ("reference syscalls", str(ref)),
+        ("ratio", f"{ratio:.3f} (gate: <= 0.25)"),
+    ])
+    assert ratio <= 0.25, (
+        f"traced walker build used {ratio:.0%} of the reference's "
+        f"syscalls: tracing is defeating the journal fast path")

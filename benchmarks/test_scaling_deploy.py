@@ -100,7 +100,7 @@ def test_ablation_registry_vs_tree():
     assert egress["tree"][1] == egress["registry"][1]
     assert makespan["tree"][1] <= makespan["registry"][1] + 1e-9
     # the asymptotic win at 8 nodes: >=4x less egress, >=2x less makespan,
-    # and the CI smoke gate — tree strictly below registry-direct
+    # and tree strictly below registry-direct
     n_max = max(NODE_COUNTS)
     assert makespan["tree"][n_max] < makespan["registry"][n_max]
     assert egress["registry"][n_max] >= 4 * egress["tree"][n_max]

@@ -17,8 +17,9 @@ per-chunk availability, so they stay on the reference-style chunk loop
 by design; it gates on identity and on coalescing shrinking the event
 count instead.
 
-Emits ``BENCH_engine.json`` for the ``engine-throughput-smoke`` CI job,
-which gates on events/sec no worse than 0.9x the committed baseline.
+Emits ``.bench_out/BENCH_engine.json``; ``benchmarks/gate.py`` gates it
+on events/sec no worse than 0.9x the committed baseline and on the
+identity bits.
 """
 
 import hashlib
@@ -131,7 +132,7 @@ def test_engine_throughput_ablation():
     """The tentpole gate: the optimized engine sustains >= 10x the
     reference engine's events/sec on the 10k-node pull storm, with
     float-identical timings and digest-identical stores on every leg.
-    Emits the BENCH_engine.json artifact CI gates on."""
+    Emits the BENCH_engine.json artifact ``benchmarks/gate.py`` gates."""
     # --- leg 1: the pull storm (headline events/sec gate) -------------
     sw_o, se_o, sr_o, sp_o, ss_o = _broadcast("registry", STORM_CHUNK,
                                               reference=False)

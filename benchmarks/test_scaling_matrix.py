@@ -7,7 +7,7 @@ the 64 cells fold to 86 unique chains — predicted amplification 4.47×,
 and the prediction is *exact*: on a cold shared cache the farm records
 one diff store per unique stage build, no more.
 
-Gates (mirrored by the ``matrix-smoke`` CI job):
+Gates:
 
 * cache amplification >= 3x on the 64-cell family;
 * every variant digest identical to its sequentially built counterpart
@@ -15,8 +15,9 @@ Gates (mirrored by the ``matrix-smoke`` CI job):
   never *what*;
 * measured cold-cache stores == the plan's unique stage builds.
 
-Emits ``BENCH_matrix.json``, the committed baseline the CI job compares
-against.
+Emits ``.bench_out/BENCH_matrix.json``; ``benchmarks/gate.py`` requires
+its plan counts, amplification, sharing histogram, stores and pushes to
+equal the committed baseline exactly.
 """
 
 import pathlib
@@ -51,7 +52,7 @@ def run_matrix(parallelism: int, *, fleet=None, token=None):
 def test_scaling_matrix_amplification():
     """The tentpole gate: >= 3x amplification, digest identity vs the
     sequential per-variant baseline, plan == measurement; emits the
-    BENCH_matrix.json artifact CI gates on."""
+    BENCH_matrix.json artifact ``benchmarks/gate.py`` gates."""
     spec = family_spec()
     plan = plan_matrix(spec)
     assert plan.n_cells >= 64

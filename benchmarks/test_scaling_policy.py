@@ -2,8 +2,7 @@
 
 A two-image family — one clean, one installing the CVE-tripping
 ``openssh`` — is built, attested, signed, and pushed into a sharded
-fleet; the policy gate then audits every ref registry-side.  Gates
-(mirrored by the ``policy-smoke`` CI job):
+fleet; the policy gate then audits every ref registry-side.  Gates:
 
 * the signed clean image passes and deploys;
 * the CVE image, a tampered manifest, and an unsigned push are each
@@ -12,8 +11,9 @@ fleet; the policy gate then audits every ref registry-side.  Gates
 * attestation digests are deterministic: a fresh world re-attests the
   same Dockerfile to byte-identical blob digests.
 
-Emits ``BENCH_policy.json``, the committed baseline the CI job
-compares against.
+Emits ``.bench_out/BENCH_policy.json``; ``benchmarks/gate.py`` requires
+its attestation digests, package and finding counts, rejection bits, and
+front-door bytes to equal the committed baseline exactly.
 """
 
 import pytest

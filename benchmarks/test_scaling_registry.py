@@ -9,9 +9,9 @@ least-queue-depth read fan-out spreads the same offered load across the
 fleet, and the acceptance gate is 8 shards sustaining >= 4x the
 single-shard pulls/sec with digest-identical deploys.
 
-Emits ``BENCH_registry.json`` for the ``registry-scaling-smoke`` CI job,
-which gates on pulls/sec no worse than 0.9x the committed baseline and
-on seeded-replay byte-identity at 4 shards.
+Emits ``.bench_out/BENCH_registry.json``; ``benchmarks/gate.py`` gates
+it on pulls/sec no worse than 0.9x the committed baseline at every shard
+level and on the replay and deploy identity bits.
 """
 
 from repro.archive import TarArchive, TarMember
@@ -67,7 +67,7 @@ def test_scaling_registry_fleet():
     """The tentpole gate: 8 shards sustain >= 4x single-shard pulls/sec
     on the seeded Zipf workload, replays are byte-identical, and deploys
     land digest-identical node stores through a fleet.  Emits the
-    BENCH_registry.json artifact CI gates on."""
+    BENCH_registry.json artifact ``benchmarks/gate.py`` gates."""
     throughput, p99, details = {}, {}, {}
     for n in SHARD_LEVELS:
         rep, fleet = run_level(n)

@@ -10,8 +10,10 @@ from repro.cluster import (
     make_astra,
     make_machine,
     make_world,
+    warm_cache_stage,
 )
 from repro.cluster.astra import astra_cached_build_workflow
+from repro.core import ChImage
 from repro.kernel import Syscalls
 
 APP = """\
@@ -210,6 +212,32 @@ class TestFarmInPipeline:
         farm = BuildFarm(login, alice)
         with pytest.raises(CiError, match="no submitted images"):
             farm_build_stage(CiPipeline("p"), farm)
+
+    def test_warm_cache_stage_seeds_every_builder(self, world, login,
+                                                  alice):
+        """A registry cache export pre-seeds each worker's cache: the
+        stage's jobs pass, and each host's next build is all hits."""
+        seed = ChImage(login, alice, cache=True)
+        cold = seed.build(tag="app", dockerfile=APP, force=True)
+        assert cold.success, cold.text
+        registry = world.network.registry("gitlab.example.gov")
+        seed.cache.export_to_registry(registry, "alice/app-cache:latest")
+
+        builders = []
+        for host in ("ci1", "ci2"):
+            machine = make_machine(host, network=world.network)
+            builders.append(ChImage(machine, machine.login("alice"),
+                                    cache=True))
+        pipe = CiPipeline("nightly")
+        warm_cache_stage(pipe, builders, registry, "alice/app-cache:latest")
+        result = pipe.run()
+        assert result.passed, result.report()
+        assert [j.name for j in pipe.stages[0].jobs] == \
+            ["warm-cache ci1", "warm-cache ci2"]
+        for builder in builders:
+            warm = builder.build(tag="app", dockerfile=APP, force=True)
+            assert warm.success, warm.text
+            assert warm.cache_hits == cold.instructions - 1
 
     def test_failure_reported_per_job(self, login, alice):
         farm = BuildFarm(login, alice, force_mode="seccomp")

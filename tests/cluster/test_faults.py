@@ -147,17 +147,21 @@ class TestWorkflowUnderFaults:
                                       "app", n_nodes=n, fault_plan=plan)
         return report, node_trees(cluster.scheduler.nodes)
 
+    #: a seeded 10%-loss plan; the registry stays reachable under it
+    LOSS_10 = dict(seed=42, link_loss=0.10, flake_rate=1.0)
+
     def test_faulty_deploy_converges_digest_identical(self):
         clean, clean_trees = self.run_workflow(None)
         assert clean.success and not clean.degraded
 
-        plan = FaultPlan(seed=7, link_loss=0.5, flake_rate=1.0)
-        faulty, trees = self.run_workflow(plan)
-        assert faulty.success
-        assert faulty.faults_injected > 0 and faulty.retries > 0
-        assert not faulty.degraded
-        assert trees == clean_trees
-        assert faulty.deploy_makespan > clean.deploy_makespan
+        for plan_spec in (dict(seed=7, link_loss=0.5, flake_rate=1.0),
+                          self.LOSS_10):
+            faulty, trees = self.run_workflow(FaultPlan(**plan_spec))
+            assert faulty.success, plan_spec
+            assert faulty.faults_injected > 0 and faulty.retries > 0
+            assert not faulty.degraded
+            assert trees == clean_trees
+            assert faulty.deploy_makespan > clean.deploy_makespan
 
     def test_node_crash_degrades_but_survivors_succeed(self):
         plan = FaultPlan(seed=3).add_node_crash("astra-cn003", 1e-4)
@@ -176,14 +180,16 @@ class TestWorkflowUnderFaults:
         assert report.retries > 0
 
     def test_same_seed_reproduces_the_workflow_report(self):
-        plan_spec = dict(seed=21, link_loss=0.4, flake_rate=1.0)
-        a, trees_a = self.run_workflow(FaultPlan(**plan_spec))
-        b, trees_b = self.run_workflow(FaultPlan(**plan_spec))
-        assert a.distribution.as_dict() == b.distribution.as_dict()
-        assert a.deploy_makespan == b.deploy_makespan
-        assert a.faults_injected == b.faults_injected
-        assert a.phases == b.phases
-        assert trees_a == trees_b
+        for plan_spec in (dict(seed=21, link_loss=0.4, flake_rate=1.0),
+                          self.LOSS_10):
+            a, trees_a = self.run_workflow(FaultPlan(**plan_spec))
+            b, trees_b = self.run_workflow(FaultPlan(**plan_spec))
+            assert a.distribution.as_dict() == b.distribution.as_dict(), \
+                plan_spec
+            assert a.deploy_makespan == b.deploy_makespan
+            assert a.faults_injected == b.faults_injected
+            assert a.phases == b.phases
+            assert trees_a == trees_b
 
 
 class TestFaultCli:

@@ -208,6 +208,34 @@ class TestBuildCacheCli:
         status, out = ch_image_cli(ch, ["build-cache"])
         assert status == 1 and "not enabled" in out
 
+    def test_build_profile_table(self, login, alice):
+        """``build --profile`` appends the engine counter table: the
+        snapshot walks each instruction boundary took, and (on the fast
+        path, where the digest memo lives) the memo hit rate derived from
+        the memo rows."""
+        from repro.core.cli import ch_image_cli
+        from repro.sim import optimizations_enabled
+        ch = ChImage(login, alice, cache=True)
+        ch.sys.write_file("/home/alice/Dockerfile",
+                          FIG2_DOCKERFILE.encode())
+        status, out = ch_image_cli(
+            ch, ["build", "--force", "--profile", "-t", "a", "-f",
+                 "/home/alice/Dockerfile", "."])
+        assert status == 0, out
+        table = out[out.index("\nbuild profile\n") + 1:].splitlines()
+        assert table[1].split() == ["category", "event", "count"]
+        rows = {tuple(line.split()[:2]): int(line.split()[2])
+                for line in table[2:] if "hit rate" not in line}
+        assert rows[("snapshot", "walk_full")] >= 1
+        if not optimizations_enabled():
+            return
+        assert rows[("snapshot", "walk_dirty")] >= 1
+        hit = rows[("digest", "memo_hit")]
+        miss = rows[("digest", "memo_miss")]
+        assert table[-1] == (
+            f"  digest memo hit rate: {100.0 * hit / (hit + miss):.1f}% "
+            f"({hit} hit / {miss} miss)")
+
 
 class TestAutoSubUserns:
     """§6.2.4: kernel-provided guaranteed-unique ID maps, no helpers."""

@@ -9,7 +9,12 @@ error class, the right obs counters, and zero front-door pull bytes.
 import pytest
 
 from repro.archive import TarArchive
-from repro.cluster import make_machine, make_world
+from repro.cluster import (
+    distribute_blobs,
+    make_deploy_topology,
+    make_machine,
+    make_world,
+)
 from repro.cluster.ci import CiPipeline, policy_gate_stage
 from repro.cluster.fleet import RegistryFleet
 from repro.containers import Manifest
@@ -105,6 +110,16 @@ class TestSignedDeploy:
         assert counters["gate_pass"] == 1
         assert counters["verify_ok"] == 1
         assert "unsigned_pull" not in counters
+        # the gated image tree-broadcasts: every node lands every blob
+        nodes = [make_machine(f"cn{i}") for i in range(4)]
+        digests = w.fleet.image_blob_digests("hpc/clean")
+        assert digests
+        distribute_blobs(w.fleet, digests, nodes,
+                         make_deploy_topology(w.fleet, nodes),
+                         strategy="tree")
+        for node in nodes:
+            assert all(node.content_store.has(d) for d in digests), \
+                node.hostname
 
     def test_audit_reads_are_at_rest(self, w):
         """The gate runs registry-side: a full audit moves zero bytes
