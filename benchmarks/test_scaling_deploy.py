@@ -18,9 +18,14 @@ import itertools
 
 import pytest
 
-from repro.cas import snapshot_digest, snapshot_tree
+import repro.cas.store
+import repro.cluster.astra
+import repro.cluster.broadcast
+from repro.archive import TarArchive
+from repro.cas import blob_digest, snapshot_digest, snapshot_tree
 from repro.cluster import astra_build_workflow, make_astra, make_world
 from repro.containers import ImageRef
+from repro.sim import reference_engine, set_optimizations
 
 from .conftest import ATSE_DOCKERFILE, report
 
@@ -145,3 +150,63 @@ def test_scaling_tree_egress_constant():
         assert rep.success
         egress[n] = rep.distribution.registry_egress_bytes
     assert egress[8] == egress[1]
+
+
+def _deploy_work(monkeypatch, n_nodes):
+    """Run the Fig 6 workflow with a tree deploy to *n_nodes* and count,
+    from the start of the distribution on, every archive decode and
+    every hash of a blob.  Returns (distinct layer digests, decodes,
+    layer-blob hashes)."""
+    counting = {"on": False, "decodes": 0, "hashed": []}
+    distribute, decode = repro.cluster.astra.distribute_image, \
+        TarArchive.deserialize
+
+    def distribute_image(*args, **kwargs):
+        counting["on"] = True
+        return distribute(*args, **kwargs)
+
+    def deserialize(blob):
+        counting["decodes"] += counting["on"]
+        return decode(blob)
+
+    def hashing(data):
+        digest = blob_digest(data)
+        if counting["on"]:
+            counting["hashed"].append(digest)
+        return digest
+
+    monkeypatch.setattr(repro.cluster.astra, "distribute_image",
+                        distribute_image)
+    monkeypatch.setattr(TarArchive, "deserialize", deserialize)
+    monkeypatch.setattr(repro.cas.store, "blob_digest", hashing)
+    monkeypatch.setattr(repro.cluster.broadcast, "blob_digest", hashing)
+    world = make_world()
+    astra = make_astra(world, n_compute=n_nodes)
+    rep = astra_build_workflow(astra, "alice", ATSE_DOCKERFILE, "atse",
+                               n_nodes=n_nodes, deploy_strategy="tree")
+    monkeypatch.undo()
+    assert rep.success and len(rep.deploy.nodes) == n_nodes
+    layers = set(world.site_registry.image_blob_digests(rep.pushed_ref))
+    hashed = [d for d in counting["hashed"] if d in layers]
+    return layers, counting["decodes"], hashed
+
+
+def test_deploy_decodes_and_hashes_each_layer_once(monkeypatch):
+    """Exact work-count gate: a 32-node tree deploy decodes each distinct
+    layer once (every rank shares the registry's decoded archive) and
+    hashes each layer blob once (the broadcast verifies what the registry
+    served, then lands it on every node under that digest).  The
+    reference engine, the oracle, does both on every node."""
+    n_nodes = 32
+    previous = set_optimizations(True)
+    try:
+        layers, decodes, hashed = _deploy_work(monkeypatch, n_nodes)
+    finally:
+        set_optimizations(previous)
+    assert decodes == len(layers)
+    assert sorted(hashed) == sorted(layers)
+
+    with reference_engine():
+        layers, decodes, hashed = _deploy_work(monkeypatch, n_nodes)
+    assert decodes == n_nodes * len(layers)
+    assert len(hashed) == (n_nodes + 1) * len(layers)

@@ -22,11 +22,10 @@ on events/sec no worse than 0.9x the committed baseline and on the
 identity bits.
 """
 
-import hashlib
 import time
 
 from repro.archive import TarArchive, TarMember
-from repro.cas.store import ContentStore
+from repro.cas.store import ContentStore, blob_digest
 from repro.cluster import RegistryFleet
 from repro.cluster.broadcast import distribute_blobs, make_deploy_topology
 from repro.containers import ImageConfig
@@ -88,7 +87,7 @@ def _broadcast(strategy: str, chunk_size: int, reference: bool):
     nodes = [_SimNode(f"n{i:05d}") for i in range(N_NODES)]
     registry = _SimRegistry(BLOB)
     topo = make_deploy_topology(registry, nodes, chunk_size=chunk_size)
-    digest = hashlib.sha256(BLOB).hexdigest()
+    digest = blob_digest(BLOB)
     profile = EngineProfile()
 
     def go():

@@ -90,10 +90,14 @@ def member_of(sys: Syscalls, full: str, relpath: str, st=None) -> TarMember:
 
 
 class TarArchive:
-    """An ordered collection of members."""
+    """An ordered, immutable collection of members.
+
+    ``members`` is a tuple of frozen :class:`TarMember` values, so one
+    decoded archive can be shared by every node that pulls the same layer
+    digest (see :meth:`repro.containers.Registry.pull`)."""
 
     def __init__(self, members: Iterable[TarMember] = ()):
-        self.members: list[TarMember] = list(members)
+        self.members: tuple[TarMember, ...] = tuple(members)
 
     def __len__(self) -> int:
         return len(self.members)

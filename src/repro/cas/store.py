@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..errors import ReproError
+from ..sim import opts as _opts
 
 __all__ = ["CasError", "CasStats", "ContentStore", "blob_digest"]
 
@@ -142,10 +143,20 @@ class ContentStore:
 
     # -- data plane --------------------------------------------------------------
 
-    def put(self, data: bytes) -> str:
+    def put(self, data: bytes, digest: Optional[str] = None) -> str:
         """Store *data*; returns its digest.  Never fails: identical bytes
-        dedup to the existing blob, and eviction makes room if bounded."""
-        digest = blob_digest(data)
+        dedup to the existing blob, and eviction makes room if bounded.
+
+        A caller that already verified *data* against its content address
+        passes it as *digest* and the bytes are not hashed again.  The
+        reference engine (:func:`repro.sim.reference_engine`) re-hashes
+        anyway and raises :class:`CasError` if the two disagree."""
+        if digest is None or not _opts.ENABLED:
+            computed = blob_digest(data)
+            if digest is not None and digest != computed:
+                raise CasError(f"put: bytes hash to {computed[:19]}..., "
+                               f"not {digest[:19]}...")
+            digest = computed
         self.stats.puts += 1
         self.stats.bytes_in += len(data)
         if digest in self._blobs:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
+from ..cas.store import blob_digest
 from ..containers.oci import ImageRef
 from ..containers.registry import Registry
 from ..errors import RegistryError, ReproError, TransientError
@@ -55,7 +56,8 @@ DEPLOY_STRATEGIES = ("registry", "tree")
 
 
 class BroadcastError(ReproError):
-    """Bad strategy or missing distribution preconditions."""
+    """Bad strategy, missing distribution preconditions, or a registry
+    serving bytes that do not match the requested digest."""
 
 
 def make_deploy_topology(registry: Registry, nodes: Sequence[Machine],
@@ -355,12 +357,25 @@ class _BlobCast:
             link_restore(dst, snap_dst)
             self._transient("pull", node, attempt, exc)
             return
-        if self.blob is None:
-            self.blob = blob
+        self._verify(blob)
         self._r.registry_egress_bytes += self.size
         self._r.registry_blobs_pulled += 1
-        node.content_store.put(blob)
+        node.content_store.put(blob, digest=self.digest)
         self._landed(node, timing, src=src_name)
+
+    def _verify(self, blob: bytes) -> None:
+        """Check fetched bytes against the digest they were asked for.
+        Each bytes object a source serves is hashed once; every node the
+        blob lands on then stores it under the verified digest."""
+        if blob is self.blob:
+            return
+        actual = blob_digest(blob)
+        if actual != self.digest:
+            raise BroadcastError(
+                f"{self.ctx.registry.name} served {actual[:19]}... for "
+                f"{self.digest[:19]}...")
+        if self.blob is None:
+            self.blob = blob
 
     # -- peer serving ------------------------------------------------------
 
@@ -428,7 +443,7 @@ class _BlobCast:
         host = node.hostname
         self.done.add(host)
         if peer:
-            node.content_store.put(self.blob)
+            node.content_store.put(self.blob, digest=self.digest)
             self._r.peer_bytes += self.size
             self._r.peer_sends += 1
         # a coalesced transfer (chunk_arrivals is None) means the node is
@@ -530,7 +545,8 @@ def distribute_blobs(
     timing the transfers on *topology*; returns the distribution report.
 
     The actual byte movement is real (each node's store ends up holding
-    the blobs, digest-verified by the store itself); the timing is the
+    the blobs; bytes a source serves are checked against their digest,
+    and a mismatch raises :class:`BroadcastError`); the timing is the
     simulated-network cost of that movement.  With a *fault_plan*, the
     plan's faults fire on the engine's clock and transfers are retried
     per *retry_policy* (default: ``RetryPolicy(seed=plan.seed)``).

@@ -226,12 +226,12 @@ class RegistryShard:
         return [self]
 
     def hold(self, digest: str, blob: Optional[bytes] = None) -> None:
-        """Own *digest*, storing *blob* first when given (a placement);
-        without it the bytes must already be resident (a peer fill
-        landed them)."""
+        """Own *digest*, storing *blob* under it first when given (a
+        placement: the front door hashed the blob on accept); without it
+        the bytes must already be resident (a peer fill landed them)."""
         store = self.content_store
         if blob is not None and not store.has(digest):
-            store.put(blob)
+            store.put(blob, digest=digest)
         if not store.has(digest):
             raise FleetError(
                 f"{self.name}: cannot hold absent blob {digest[:19]}...")

@@ -29,6 +29,7 @@ from ..archive import TarArchive
 from ..cas.store import CasError, ContentStore, blob_digest
 from ..errors import RegistryError, TransientError
 from ..obs.trace import maybe_span
+from ..sim import opts as _opts
 from .oci import ImageConfig, ImageRef, Manifest
 
 __all__ = ["FleetAuthError", "FleetError", "FleetQuotaError", "Registry",
@@ -140,6 +141,9 @@ class Registry:
         # (repo, tag) -> attestation kind -> blob digest
         self._attestations: dict[tuple[str, str], dict[str, str]] = {}
         self.tenants: dict[str, Tenant] = {}
+        # layer digest -> its decoded archive: a layer is content-addressed
+        # and a TarArchive is immutable, so every pull shares one decode
+        self._decoded: dict[str, TarArchive] = {}
         self.stats = TransferStats()
         #: Optional :class:`~repro.supply.Signer` — when set, every push
         #: records a signature over the manifest digest (sign-on-push).
@@ -202,7 +206,7 @@ class Registry:
         another repo or another registry on a shared store)."""
         moved = not self.store.has(digest)
         if moved:
-            self.store.put(blob)
+            self.store.put(blob, digest=digest)
         if digest not in self._blobs:
             self.store.incref(digest)
         return moved
@@ -250,6 +254,7 @@ class Registry:
         except Exception:
             for digest, moved in reversed(txn):
                 size = self._blobs.pop(digest)
+                self._decoded.pop(digest, None)
                 self._drop_blob(digest)
                 if moved:
                     self.stats.blobs_pushed -= 1
@@ -486,7 +491,9 @@ class Registry:
         """Pull an image (optionally a specific architecture variant);
         returns (config, layers base-first).  With *local_store* (the
         pulling node's CAS), layer blobs already held locally are not
-        re-sent over the wire — the pull-side mirror of push dedup."""
+        re-sent over the wire — the pull-side mirror of push dedup.
+        Every pull still fetches each blob, but a layer digest is decoded
+        once and its immutable archive is shared by every puller."""
         ref = _parse(ref)
         tenant = self._tenant_of(ref.repository)
         with maybe_span(self.tracer,
@@ -495,12 +502,22 @@ class Registry:
             self._authorize(tenant, token, "pull")
             manifest = self.manifest(ref, arch=arch)
             self._verify_served(ref, manifest)
-            layers = [TarArchive.deserialize(
-                          self.fetch_blob(d, local_store=local_store))
+            layers = [self._decode(d, self.fetch_blob(
+                          d, local_store=local_store))
                       for d in manifest.layers]
             if tenant is not None:
                 tenant.pulls += 1
         return manifest.config, layers
+
+    def _decode(self, digest: str, blob: bytes) -> TarArchive:
+        """The archive a layer blob encodes, decoded once per digest (the
+        reference engine decodes on every pull)."""
+        if not _opts.ENABLED:
+            return TarArchive.deserialize(blob)
+        layer = self._decoded.get(digest)
+        if layer is None:
+            layer = self._decoded[digest] = TarArchive.deserialize(blob)
+        return layer
 
     def image_blob_digests(self, ref: ImageRef | str, *,
                            arch: Optional[str] = None) -> list[str]:

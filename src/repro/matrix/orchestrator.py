@@ -14,8 +14,10 @@ counters and a ``matrix <name>`` span.
 
 On a cold shared cache the plan is exact: the farm records one diff
 store per *unique* stage build, so ``report.measured_stores ==
-report.plan.unique_stage_builds`` — the matrix-smoke CI job and the
-scaling benchmark both pin this.
+report.plan.unique_stage_builds``.
+``benchmarks/test_scaling_matrix.py::test_scaling_matrix_amplification``
+pins this at both parallelism levels, and ``benchmarks/gate.py`` gates
+``measured_stores`` as an exact rule.
 """
 
 from __future__ import annotations

@@ -58,23 +58,29 @@ class TraceMetrics:
       coverage test walks).
     * ``errnos_by_syscall``: ``(syscall, errno)`` pair counts, any depth.
     * ``cache``: build-cache events (``hit`` / ``miss`` / ``store``) —
-      what the CI cache-smoke job compares cold vs. warm.
+      checked cold vs. warm by
+      ``benchmarks/test_ablation_build_cache.py::test_ablation_chimage_cold_vs_warm``
+      and ``tests/core/test_extensions.py::TestBuildCacheSubsystem::test_cache_metrics_and_spans``.
     * ``net``: deploy-time distribution counters (registry egress bytes,
-      peer-broadcast bytes, makespan in µs, dedup skips) — what the
-      deploy-scaling smoke job compares across strategies.
+      peer-broadcast bytes, makespan in µs, dedup skips) — checked by
+      ``tests/cluster/test_broadcast.py::TestDistributeBlobs::test_span_and_metrics_emitted``.
     * ``build``: parallel-build scheduling counters (tasks run, queue
-      wait in µs, in-flight dedup hits, makespan in µs) — what the
-      build-scaling smoke job compares across parallelism levels.
+      wait in µs, in-flight dedup hits, makespan in µs) — checked by
+      ``tests/matrix/test_matrix_build.py::TestBuildMatrix::test_matrix_counters_and_span``.
     * ``matrix``: build-matrix orchestration counters (cells expanded,
       unique cell builds, total/unique stage builds, amplification
-      ×100, images pushed) — what the matrix-smoke job gates on.
+      ×100, images pushed) — checked by the same test.
     * ``snapshots``: instruction-boundary snapshot work (``walk_full`` /
       ``walk_dirty`` walks, ``memo_hit`` / ``memo_miss`` member digests)
-      — what the coldbuild-smoke job compares against the reference
-      full-walk oracle.
+      — the same events feed :data:`repro.sim.profile.COUNTERS`, which
+      ``benchmarks/test_scaling_coldbuild.py`` records against the
+      reference full-walk oracle and ``benchmarks/gate.py`` gates
+      (coldbuild ``ceiling walker_full_walks``).
     * ``supply``: supply-chain events (``signed`` / ``unsigned_pull`` /
       ``verify_ok`` / ``verify_fail`` / ``gate_pass`` / ``gate_reject``
-      / ``attested``) — what the policy-smoke job gates on.
+      / ``attested``) — checked by ``tests/supply/test_policy_gate.py``
+      (``TestSignedDeploy``, ``TestTamperedLayer``,
+      ``TestMissingSignature``).
     """
 
     def __init__(self):

@@ -7,9 +7,19 @@ discrete-event semantics: the closed-form bulk transmit path
 (:mod:`~repro.cluster.broadcast`).  All three are *pure* speedups — every
 virtual timestamp, LinkStats float, and deploy digest is bit-identical
 with them on or off — and this module is the single switch the parity
-tests and the ``engine-throughput-smoke`` ablation flip to prove it.
-The incremental snapshot walker (:mod:`~repro.cas.diff`) and the path-walk
-prefix cache (:mod:`~repro.kernel.mounts`) sit behind the same switch.
+tests and ``benchmarks/test_scaling_engine.py::test_engine_throughput_ablation``
+flip to prove it (``benchmarks/gate.py`` gates its ``identical_reports``
+and ``identical_stores``).
+
+The same switch covers the other fast paths, each with the code it
+replaces as its oracle:
+
+* the incremental snapshot walker (:mod:`~repro.cas.diff`);
+* the path-walk prefix cache (:mod:`~repro.kernel.mounts`);
+* the layer decode memo (:meth:`repro.containers.Registry.pull` decodes
+  each layer digest once; the oracle decodes on every pull);
+* trusted digests (:meth:`repro.cas.ContentStore.put` stores bytes under
+  a digest its caller verified; the oracle re-hashes every put).
 
 Set ``REPRO_SIM_REFERENCE=1`` in the environment to start with the
 reference (pre-optimization) engine, or use :func:`reference_engine` to

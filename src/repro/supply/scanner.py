@@ -7,8 +7,10 @@ understands epochs (``1:7.9p1-10``), numeric/alpha segment alternation,
 and release suffixes, which is enough for every version string the
 simulated catalogs mint.
 
-``make_advisory_db(seed)`` mints the deterministic advisory set the
-policy-smoke job and golden transcripts pin: identifiers are derived
+``make_advisory_db(seed)`` mints the deterministic advisory set that
+``benchmarks/gate.py`` (policy ``exact clean_findings`` and
+``exact cve_violations``) and the golden transcript
+``tests/golden/supply_audit_fig2.json`` pin: identifiers are derived
 from the seed, contents from the catalog's package inventory (openssh
 before 8.0 is the canonical "high" hit — exactly what the paper's
 Figure 2 image installs).

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cas import CasError, ContentStore, blob_digest
+from repro.sim import reference_engine
 
 _prop = settings(max_examples=50, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -40,6 +41,18 @@ class TestRoundTrip:
         with pytest.raises(CasError):
             store.get("sha256:" + "0" * 64)
         assert store.stats.misses == 1
+
+    def test_trusted_digest_is_rechecked_by_the_oracle(self):
+        """A caller that verified the bytes passes their digest; the
+        reference engine re-hashes and refuses a digest that lies."""
+        blob = b"layer bytes"
+        with reference_engine():
+            with pytest.raises(CasError):
+                ContentStore().put(blob, digest=blob_digest(b"other"))
+            store = ContentStore()
+            assert store.put(blob, digest=blob_digest(blob)) \
+                == blob_digest(blob)
+            assert store.get(blob_digest(blob)) == blob
 
 
 class TestGcSafety:

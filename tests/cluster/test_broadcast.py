@@ -1,9 +1,15 @@
 """Daemonless blob distribution (§4.2/§6.3): binomial-tree broadcast vs
 registry fan-out, plus the astra-deploy CLI that fronts it."""
 
-import pytest
+from contextlib import contextmanager
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.cas.store
+import repro.cluster.broadcast
 from repro.archive import TarArchive, TarMember
+from repro.cas import ContentStore, blob_digest
 from repro.cluster import (
     BroadcastError,
     astra_deploy_cli,
@@ -16,6 +22,7 @@ from repro.cluster import (
     make_world,
 )
 from repro.containers import ImageConfig, Registry
+from repro.errors import RegistryError
 from repro.kernel import FileType, Syscalls
 from repro.obs import attach_tracer
 from repro.sim import (FaultPlan, SimEngine, optimizations_enabled,
@@ -42,6 +49,16 @@ def digests(registry):
 
 def nodes_named(n):
     return [make_machine(f"cn{i}") for i in range(n)]
+
+
+@contextmanager
+def _optimized():
+    """Fast paths on for one block, even under REPRO_SIM_REFERENCE=1."""
+    previous = set_optimizations(True)
+    try:
+        yield
+    finally:
+        set_optimizations(previous)
 
 
 class TestBinomialChildren:
@@ -226,9 +243,8 @@ class TestOptimizationParity:
     def _force_optimizations(self):
         """Run the 'opt' side with the fast paths on even under
         REPRO_SIM_REFERENCE=1, so parity is always opt-vs-reference."""
-        prev = set_optimizations(True)
-        yield
-        set_optimizations(prev)
+        with _optimized():
+            yield
 
     @pytest.mark.parametrize("strategy", ["tree", "registry"])
     def test_clean_run_parity(self, strategy):
@@ -256,6 +272,182 @@ class TestOptimizationParity:
         with reference_engine():
             ref = self._run("tree", plan=plan())
         assert opt == ref
+
+
+@contextmanager
+def counting_work():
+    """Count archive decodes and the blobs hashed while they happen:
+    yields ``{"decoded": [blob, ...], "hashed": [digest, ...]}``, where
+    *hashed* covers store puts and the broadcast's verification."""
+    work = {"decoded": [], "hashed": []}
+    decode = TarArchive.deserialize
+
+    def deserialize(blob):
+        work["decoded"].append(blob)
+        return decode(blob)
+
+    def hashing(data):
+        digest = blob_digest(data)
+        work["hashed"].append(digest)
+        return digest
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TarArchive, "deserialize", deserialize)
+        mp.setattr(repro.cas.store, "blob_digest", hashing)
+        mp.setattr(repro.cluster.broadcast, "blob_digest", hashing)
+        yield work
+
+
+class _Tampering(Registry):
+    """A registry whose blob reads come back altered on the wire."""
+
+    def _serve_blob(self, digest):
+        return super()._serve_blob(digest) + b"tampered"
+
+
+_members = st.lists(st.builds(
+    TarMember,
+    path=st.from_regex(r"[a-z][a-z0-9]{0,5}(/[a-z0-9]{1,5})?",
+                       fullmatch=True),
+    ftype=st.just(FileType.REG),
+    mode=st.integers(0, 0o7777),
+    uid=st.integers(0, 70000),
+    gid=st.integers(0, 70000),
+    data=st.binary(max_size=48),
+), max_size=4)
+
+
+class TestDecodeOnceHashOnce:
+    """A layer is content-addressed and a TarArchive is immutable, so a
+    registry decodes each layer digest once and hands every puller the
+    same archive; a broadcast hashes the bytes it is served once and
+    lands them on every node under that verified digest."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(images=st.lists(st.lists(_members, min_size=1, max_size=3),
+                           min_size=1, max_size=3),
+           n_nodes=st.integers(1, 4))
+    def test_every_pull_equals_a_fresh_decode(self, images, n_nodes):
+        with _optimized():
+            r = Registry("site")
+            for i, layers in enumerate(images):
+                r.push(f"app:v{i}", ImageConfig(),
+                       [TarArchive(members) for members in layers])
+            stores = [ContentStore() for _ in range(n_nodes)]
+            with counting_work() as work:
+                pulled = [r.pull(f"app:v{i}", local_store=store)[1]
+                          for store in stores
+                          for i in range(len(images))]
+            distinct = {d for i in range(len(images))
+                        for d in r.image_blob_digests(f"app:v{i}")}
+            assert len(work["decoded"]) == len(distinct)
+            assert sorted(map(blob_digest, work["decoded"])) \
+                == sorted(distinct)
+            for k, layers in enumerate(pulled):
+                digests = r.image_blob_digests(f"app:v{k % len(images)}")
+                assert len(layers) == len(digests)
+                for layer_, digest in zip(layers, digests):
+                    fresh = TarArchive.deserialize(r.blob_at_rest(digest))
+                    assert layer_.members == fresh.members
+
+    def test_pullers_share_one_archive_that_cannot_change(self, registry):
+        with _optimized():
+            nodes = nodes_named(2)
+            pulled = [registry.pull("app:v1",
+                                    local_store=n.content_store)[1]
+                      for n in nodes]
+            assert all(a is b for a, b in zip(*pulled))
+            shared = pulled[0][0]
+            with pytest.raises(AttributeError):
+                shared.members.append(shared.members[0])
+            with pytest.raises(TypeError):
+                shared.members[0] = shared.members[0]
+            first, second = (n.root_sys() for n in nodes)
+            for sys_, layers in zip((first, second), pulled):
+                sys_.mkdir_p("/img")
+                for layer_ in layers:
+                    layer_.extract(sys_, "/img")
+            first.write_file("/img/bin", b"changed on cn0")
+            first.chmod("/img/lib", 0o600)
+            first.unlink("/img/lib")
+            assert second.read_file("/img/bin") == b"b" * 4000
+            assert second.read_file("/img/lib") == b"l" * 2000
+            assert shared.member("bin").data == b"b" * 4000
+            third = nodes_named(1)[0]
+            sys3 = third.root_sys()
+            sys3.mkdir_p("/img")
+            shared.extract(sys3, "/img")
+            assert sys3.read_file("/img/bin") == b"b" * 4000
+
+    @pytest.mark.parametrize("strategy", ["tree", "registry"])
+    def test_mismatched_bytes_are_refused(self, strategy):
+        r = _Tampering("site")
+        r.push("app:v1", ImageConfig(), [layer("bin", b"b" * 4000)])
+        digest = r.image_blob_digests("app:v1")[0]
+        nodes = nodes_named(4)
+        topo = make_deploy_topology(r, nodes)
+        with pytest.raises(BroadcastError, match="served"):
+            distribute_blobs(r, [digest], nodes, topo, strategy=strategy)
+        assert not any(n.content_store.blob_count for n in nodes)
+
+    @pytest.mark.parametrize("strategy", ["tree", "registry"])
+    def test_served_bytes_are_hashed_once(self, registry, digests,
+                                          strategy):
+        with _optimized():
+            nodes = nodes_named(6)
+            topo = make_deploy_topology(registry, nodes)
+            with counting_work() as work:
+                distribute_blobs(registry, digests, nodes, topo,
+                                 strategy=strategy)
+        assert sorted(work["hashed"]) == sorted(digests)
+        for n in nodes:
+            assert sorted(n.content_store.digests()) == sorted(digests)
+
+    def test_memo_entry_dropped_with_the_blob(self, monkeypatch):
+        """A mirror on a shared store serves a layer this registry never
+        accepted; when a failed push then releases that blob here, the
+        decoded archive goes with it and the next pull decodes again."""
+        with _optimized():
+            store = ContentStore()
+            mirror = Registry("mirror", store=store)
+            mirror.push("app:v1", ImageConfig(), [layer("bin", b"b" * 900)])
+            site = Registry("site", store=store)
+            site.put_manifest("app:v1", mirror.manifest("app:v1"))
+            with counting_work() as work:
+                site.pull("app:v1")
+                site.pull("app:v1")
+            assert len(work["decoded"]) == 1
+
+            placed = Registry._store_blob
+
+            def fail_on_second(self, digest, blob):
+                if digest != mirror.image_blob_digests("app:v1")[0]:
+                    raise RegistryError("disk full")
+                return placed(self, digest, blob)
+
+            monkeypatch.setattr(Registry, "_store_blob", fail_on_second)
+            with pytest.raises(RegistryError, match="disk full"):
+                site.push("app:v2", ImageConfig(),
+                          [layer("bin", b"b" * 900), layer("lib", b"x")])
+            monkeypatch.undo()
+            with counting_work() as work:
+                site.pull("app:v1")
+                site.pull("app:v1")
+            assert len(work["decoded"]) == 1
+
+    def test_reference_engine_decodes_and_hashes_every_time(
+            self, registry, digests):
+        nodes = nodes_named(5)
+        topo = make_deploy_topology(registry, nodes)
+        with reference_engine(), counting_work() as work:
+            distribute_blobs(registry, digests, nodes, topo,
+                             strategy="tree")
+            hashed = list(work["hashed"])
+            for n in nodes:
+                registry.pull("app:v1", local_store=n.content_store)
+        # one verification per blob, then a re-hash at every landing
+        assert sorted(hashed) == sorted(digests * (len(nodes) + 1))
+        assert len(work["decoded"]) == len(nodes) * len(digests)
 
 
 class TestDistributeImage:

@@ -149,6 +149,9 @@ class TestBuildMatrix:
         assert snap["stage_builds_unique"] == 6
         assert snap["amplification_x100"] == 133
         assert "failed_cells" not in snap
+        build = tracer.metrics.snapshot()["build"]
+        assert build["tasks"] == snap["unique_cell_builds"]
+        assert build["makespan_us"] > 0
         assert any(sp.name == "matrix fam" and sp.kind == "matrix"
                    for sp in tracer.roots)
 

@@ -1,6 +1,8 @@
 """Archive pack/extract/serialize tests, including the fakeroot-aware pack
 and the ownership-flattening invariants."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +96,18 @@ class TestPackExtract:
         assert m.exe_impl == "coreutils.echo"
         assert m.exe_arch == "aarch64"
         assert m.exe_static
+
+    def test_archive_is_immutable(self, root_sys):
+        """One decoded layer is shared by every node that pulls it, so
+        neither the member list nor a member can be changed in place."""
+        a = TarArchive.pack(root_sys, "/src")
+        assert isinstance(a.members, tuple)
+        with pytest.raises(AttributeError):
+            a.members.append(a.members[0])
+        with pytest.raises(TypeError):
+            a.members[0] = a.members[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.member("a.txt").data = b"other"
 
 
 class TestFlattening:
