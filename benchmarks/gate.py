@@ -43,7 +43,9 @@ SPECS = {
     "registry": [
         ("true", "replay_identical"),
         ("true", "deploys_digest_identical"),
-        ("floor", "pulls_per_sec"),
+        # simulated time: identical on every regeneration, so exact
+        ("exact", "pulls_per_sec"),
+        ("exact", "p99_seconds"),
     ],
     "matrix": [
         ("true", "digests_identical"),

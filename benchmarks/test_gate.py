@@ -23,7 +23,8 @@ RULES = {
     "registry": [
         ("true", "replay_identical"),
         ("true", "deploys_digest_identical"),
-        *(("floor", f"pulls_per_sec.{n}") for n in ("1", "2", "4", "8")),
+        ("exact", "pulls_per_sec"),
+        ("exact", "p99_seconds"),
     ],
     "matrix": [
         ("true", "digests_identical"),
@@ -110,6 +111,21 @@ def test_one_field_perturbation_fails_naming_file_and_key(name, kind, key):
     failures = gate.check_artifact(name, base, cur)
     assert len(failures) == 1, failures
     assert failures[0].startswith(f"BENCH_{name}.json: {key}:"), failures
+
+
+@pytest.mark.parametrize("key", [
+    f"{field}.{n}" for field in ("pulls_per_sec", "p99_seconds")
+    for n in ("1", "2", "4", "8")])
+def test_registry_simulated_time_drift_fails_at_every_level(key):
+    """An exact dict rule catches a 1% drift at one shard level, which
+    the old 0.9x pulls/sec floor let through."""
+    base = committed("registry")
+    cur = copy.deepcopy(base)
+    set_key(cur, key, lambda v: v * 1.01)
+    failures = gate.check_artifact("registry", base, cur)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith(
+        f"BENCH_registry.json: {key.split('.')[0]}:"), failures
 
 
 def test_a_dropped_identity_key_fails():

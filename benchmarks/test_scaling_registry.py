@@ -10,16 +10,23 @@ fleet, and the acceptance gate is 8 shards sustaining >= 4x the
 single-shard pulls/sec with digest-identical deploys.
 
 Emits ``.bench_out/BENCH_registry.json``; ``benchmarks/gate.py`` gates
-it on pulls/sec no worse than 0.9x the committed baseline at every shard
-level and on the replay and deploy identity bits.
+it on pulls/sec and p99 latency equal to the committed baseline at every
+shard level (both are simulated-time values, so any drift is a behaviour
+change) and on the replay and deploy identity bits.
 """
+
+import hashlib
+from types import SimpleNamespace
 
 from repro.archive import TarArchive, TarMember
 from repro.cluster import RegistryFleet, make_astra, make_world
+from repro.cluster import fleet as fleet_module
 from repro.cluster.astra import astra_build_workflow
 from repro.containers import ImageConfig
+from repro.containers import oci
 from repro.kernel import FileType
 from repro.sim import WorkloadSpec, run_workload
+from repro.supply import KeyRegistry, PolicyGate, SupplyPolicy
 
 from .conftest import ATSE_DOCKERFILE, report, write_bench
 
@@ -35,9 +42,16 @@ def layer(name, data):
                                  data=data)])
 
 
-def fresh_fleet(n_shards: int) -> RegistryFleet:
+def fresh_fleet(n_shards: int, keys=None) -> RegistryFleet:
+    """The seeded image set on a new fleet; with *keys*, every push is
+    signed and every pull verifies the signature."""
     fleet = RegistryFleet("site", n_shards=n_shards,
                           replicas=min(2, n_shards))
+    if keys is not None:
+        fleet.signer = keys.signer("site-ci")
+        fleet.policy_gate = PolicyGate(
+            SupplyPolicy(require_sbom=False, require_provenance=False),
+            keys=keys)
     for i, ref in enumerate(SPEC.refs()):
         fleet.push(ref, ImageConfig(),
                    [layer("bin", bytes([i % 251]) * 3000),
@@ -149,3 +163,43 @@ def test_backpressure_under_overload():
         ("503s seen", str(rep.overloads)),
         ("retries", str(rep.retries)),
     ])
+
+
+def counted(fn, calls: list):
+    """*fn*, appending each call's arguments to *calls*."""
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
+def test_registry_read_path_hashes_each_key_once(monkeypatch):
+    """The exact work-count gate of the read path, at 4 shards with a
+    signed, verify-on-pull fleet: the ring hashes each vnode point and
+    each placed or routed digest once (placement is memoized), and the
+    pulls re-hash no manifest or config (their digests are memoized at
+    push time, while the signature check still runs on every pull)."""
+    ring_keys, oci_hashes, verifies = [], [], []
+    monkeypatch.setattr(fleet_module, "_ring_hash",
+                        counted(fleet_module._ring_hash, ring_keys))
+    monkeypatch.setattr(oci, "hashlib", SimpleNamespace(
+        sha256=counted(hashlib.sha256, oci_hashes)))
+    keys = KeyRegistry(seed=0)
+    monkeypatch.setattr(keys, "verify", counted(keys.verify, verifies))
+
+    fleet = fresh_fleet(4, keys)
+    pushed_hashes = len(oci_hashes)
+    rep = run_workload(fleet, SPEC)
+    assert rep.completed == rep.offered > 1000, rep.as_dict()
+    assert len(verifies) == rep.offered + rep.retries
+
+    manifests = [fleet.manifest(ref) for ref in SPEC.refs()]
+    digests = {d for m in manifests for d in m.layers}
+    vnode_points = 4 * fleet.ring.vnodes
+    assert len(ring_keys) <= len(digests) + vnode_points, \
+        f"{len(ring_keys)} ring hashes for {len(digests)} digests"
+    # one manifest and one config digest per push, none per pull
+    assert pushed_hashes <= 2 * len(manifests)
+    pull_hashes = len(oci_hashes) - pushed_hashes
+    assert pull_hashes <= len(manifests), \
+        f"{pull_hashes} manifest/config hashes over {rep.completed} pulls"

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -84,6 +85,11 @@ class HashRing:
     *distinct* shards clockwise from ``sha256(key)``.  Determinism and
     the minimal-movement property both follow from the points being a
     pure function of the shard name.
+
+    Placement changes only when a shard joins or leaves, so
+    :meth:`holders` memoizes each ``(key, n)`` answer of the ring scan
+    (:meth:`_scan`, the oracle) and :meth:`add`/:meth:`remove` clear the
+    memo.
     """
 
     def __init__(self, shards: Iterable[str] = (), *, vnodes: int = 64):
@@ -92,6 +98,7 @@ class HashRing:
         self.vnodes = vnodes
         self._points: list[tuple[int, str]] = []  # sorted (hash, shard)
         self._shards: set[str] = set()
+        self._placed: dict[tuple[str, int], tuple[str, ...]] = {}
         for name in shards:
             self.add(name)
 
@@ -115,6 +122,7 @@ class HashRing:
         self._shards.add(name)
         for point in self._vnode_points(name):
             insort(self._points, point)
+        self._placed.clear()
 
     def remove(self, name: str) -> None:
         if name not in self._shards:
@@ -122,10 +130,18 @@ class HashRing:
         self._shards.discard(name)
         dead = set(self._vnode_points(name))
         self._points = [p for p in self._points if p not in dead]
+        self._placed.clear()
 
     def holders(self, key: str, n: int = 1) -> list[str]:
         """The first *n* distinct shards clockwise from *key*'s point,
         primary first.  ``n`` is clamped to the shard count."""
+        placed = self._placed.get((key, n))
+        if placed is None:
+            placed = self._placed[key, n] = tuple(self._scan(key, n))
+        return list(placed)
+
+    def _scan(self, key: str, n: int) -> list[str]:
+        """The uncached ring walk behind :meth:`holders`."""
         if not self._shards:
             raise FleetError("hash ring has no shards")
         n = min(n, len(self._shards))
@@ -196,7 +212,9 @@ class RegistryShard:
         self.service_latency = service_latency
         self.stats = ShardStats()
         self._busy_until = 0.0
-        self._completions: list[float] = []  # in-flight op end times
+        #: in-flight op end times, non-decreasing: :meth:`reserve` starts
+        #: each op at ``max(now, _busy_until)``, so ends only grow
+        self._completions: deque[float] = deque()
 
     @property
     def hostname(self) -> str:
@@ -253,14 +271,20 @@ class RegistryShard:
     # -- admission queue ---------------------------------------------------
 
     def queue_depth(self, now: float) -> int:
-        """Operations queued or in service at virtual time *now*."""
-        self._completions = [t for t in self._completions if t > now]
-        return len(self._completions)
+        """Operations queued or in service at virtual time *now* (those
+        done by then are trimmed off the sorted front)."""
+        completions = self._completions
+        while completions and completions[0] <= now:
+            completions.popleft()
+        return len(completions)
 
     def retry_hint(self, now: float) -> float:
-        """Earliest time a queue slot can free up."""
-        pending = [t for t in self._completions if t > now]
-        return min(pending) if pending else now
+        """Earliest time a queue slot can free up: the first pending
+        end, since ends are sorted."""
+        for end in self._completions:
+            if end > now:
+                return end
+        return now
 
     def check_admission(self, now: float, extra: int = 0) -> None:
         """Raise :class:`FleetOverloadError` if one more operation (plus
@@ -377,16 +401,21 @@ class RegistryFleet(Registry):
         return [self._route(digest)]
 
     def _route(self, digest: str) -> RegistryShard:
+        """The least-loaded live holder, in one pass in ring order: a
+        strict ``<`` keeps the earlier holder on a tie."""
         now = self._now()
         holders = self.blob_holders(digest)
-        live = [s for s in map(self._by_name.__getitem__, holders)
-                if self._is_live(s, now) and s.has_blob(digest)]
-        if not live:
+        best, best_depth = None, 0
+        for shard in map(self._by_name.__getitem__, holders):
+            if self._is_live(shard, now) and shard.has_blob(digest):
+                depth = shard.queue_depth(now)
+                if best is None or depth < best_depth:
+                    best, best_depth = shard, depth
+        if best is None:
             raise FleetError(
                 f"{self.name}: no live shard holds {digest[:19]}... "
                 f"(placement: {holders})")
-        order = {h: i for i, h in enumerate(holders)}
-        return min(live, key=lambda s: (s.queue_depth(now), order[s.name]))
+        return best
 
     def _resident(self, digest: str) -> RegistryShard:
         """A shard holding *digest* at rest: its placement first, then

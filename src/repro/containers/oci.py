@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import RegistryError
 
@@ -51,6 +51,19 @@ class ImageRef:
         return str(self).replace("/", "%").replace(":", "+")
 
 
+def _memo_digest(obj, body: Callable[[], str]) -> str:
+    """The content digest of a frozen *obj*, hashed on first use only.
+
+    The memo lives in the instance ``__dict__`` beside the dataclass
+    fields, so ``eq``, ``hash`` and ``repr`` never see it, and
+    ``dataclasses.replace`` builds a fresh object with no memo."""
+    memo = obj.__dict__.get("_digest")
+    if memo is None:
+        memo = "sha256:" + hashlib.sha256(body().encode()).hexdigest()
+        object.__setattr__(obj, "_digest", memo)
+    return memo
+
+
 @dataclass(frozen=True)
 class ImageConfig:
     """Image runtime configuration (the OCI config blob)."""
@@ -68,8 +81,7 @@ class ImageConfig:
         return replace(self, history=self.history + (line,))
 
     def digest(self) -> str:
-        body = repr(self).encode()
-        return "sha256:" + hashlib.sha256(body).hexdigest()
+        return _memo_digest(self, lambda: repr(self))
 
 
 @dataclass(frozen=True)
@@ -84,5 +96,5 @@ class Manifest:
         return len(self.layers)
 
     def digest(self) -> str:
-        body = (self.config.digest() + "".join(self.layers)).encode()
-        return "sha256:" + hashlib.sha256(body).hexdigest()
+        return _memo_digest(
+            self, lambda: self.config.digest() + "".join(self.layers))

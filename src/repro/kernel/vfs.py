@@ -237,9 +237,11 @@ class Filesystem:
     def touch(self, node: Inode) -> int:
         """Journal one mutation of *node*: bump the superblock generation,
         stamp the inode, and propagate ``tree_gen`` to every ancestor
-        directory.  Propagation early-exits at ancestors already stamped
-        with a newer-or-equal generation, so repeated mutations in one
-        subtree cost O(depth) only on the first."""
+        directory.  Every call takes a fresh generation, so each touch
+        walks all the way to the root: O(depth) per call, repeated
+        mutations included.  The ``tree_gen >= g`` test only stops one
+        call from stamping an ancestor twice, when a hard-linked inode
+        reaches it along two parent paths."""
         self.gen += 1
         g = self.gen
         node.gen = g

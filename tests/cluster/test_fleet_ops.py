@@ -1,5 +1,6 @@
 """Fleet operations that move blobs between stores: growing the fleet
-(``add_shard``) and swapping a fleet in for a registry (``deploy_fleet``).
+(``add_shard``) and swapping a fleet in for a registry (``deploy_fleet``),
+and the shard admission queue those requests pass through.
 
 Regressions pinned here: ``add_shard`` released an ex-holder's copy
 before filling the new shard from it; a repair released an ex-holder's
@@ -11,11 +12,14 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.archive import TarArchive, TarMember
 from repro.cas.store import blob_digest
 from repro.cluster import RegistryFleet, deploy_fleet
-from repro.cluster.fleet import FleetAuthError
+from repro.cluster.fleet import (FleetAuthError, FleetOverloadError,
+                                 RegistryShard)
 from repro.containers import ImageConfig, Registry
 from repro.kernel import FileType
 from repro.supply import KeyRegistry
@@ -165,3 +169,97 @@ class TestSingleRegistryTenancy:
         reg.push("carol/app:v1", ImageConfig(), [layer("bin", b"z")])
         _, layers = reg.pull("carol/app:v1")
         assert len(layers) == 1
+
+
+class ListQueue:
+    """The admission queue as a list filter: every read rescans all the
+    in-flight end times.  The oracle of :class:`RegistryShard`'s sorted
+    deque, which trims done ends off its front instead."""
+
+    def __init__(self, limit, bandwidth, latency):
+        self.limit, self.bandwidth, self.latency = limit, bandwidth, latency
+        self.busy_until = 0.0
+        self.completions = []
+        self.depth_max = 0
+        self.rejected = 0
+
+    def queue_depth(self, now):
+        self.completions = [t for t in self.completions if t > now]
+        return len(self.completions)
+
+    def retry_hint(self, now):
+        pending = [t for t in self.completions if t > now]
+        return min(pending) if pending else now
+
+    def check_admission(self, now, extra=0):
+        """None when admitted, else the ``retry_at`` of the refusal."""
+        if self.limit is None or self.queue_depth(now) + extra < self.limit:
+            return None
+        self.rejected += 1
+        return self.retry_hint(now)
+
+    def reserve(self, now, nbytes):
+        service = self.latency + nbytes / self.bandwidth
+        end = max(now, self.busy_until) + service
+        self.busy_until = end
+        self.completions.append(end)
+        self.depth_max = max(self.depth_max, self.queue_depth(now))
+        return end
+
+
+#: service = 0.25 s + bytes / 4 B/s, so quarter-second steps land
+#: ``now`` exactly on an end time (the ``t > now`` boundary) often
+OPS = st.tuples(
+    st.one_of(st.integers(0, 8).map(lambda k: k / 4),
+              st.floats(0.0, 2.0)),            # time since the last op
+    st.sampled_from(["admit", "depth", "hint"]),
+    st.integers(0, 12),                        # bytes to reserve
+    st.integers(0, 3))                         # extra planned ops
+
+
+class TestAdmissionQueue:
+    @given(limit=st.one_of(st.none(), st.integers(1, 6)),
+           ops=st.lists(OPS, max_size=60))
+    def test_sorted_deque_matches_the_list_filter(self, limit, ops):
+        shard = RegistryShard("s", queue_limit=limit,
+                              service_bandwidth=4.0, service_latency=0.25)
+        model = ListQueue(limit, 4.0, 0.25)
+        now = 0.0
+        for gap, op, nbytes, extra in ops:
+            now += gap
+            if op == "depth":
+                assert shard.queue_depth(now) == model.queue_depth(now)
+            elif op == "hint":
+                assert shard.retry_hint(now) == model.retry_hint(now)
+            else:
+                retry_at = model.check_admission(now, extra)
+                try:
+                    shard.check_admission(now, extra)
+                except FleetOverloadError as err:
+                    assert err.retry_at == retry_at
+                else:
+                    assert retry_at is None
+                    assert shard.reserve(now, nbytes) \
+                        == model.reserve(now, nbytes)
+        assert shard.stats.queue_depth_max == model.depth_max
+        assert shard.stats.rejected == model.rejected
+        assert shard.queue_depth(now) == model.queue_depth(now)
+
+
+class TestRouting:
+    def test_least_loaded_live_holder_ties_go_to_ring_order(self):
+        fleet = RegistryFleet("site", n_shards=3, replicas=3,
+                              clock=SimpleNamespace(now=0.0))
+        digest = fleet.push("app:v1", ImageConfig(),
+                            [layer("bin", payload(1))]).layers[0]
+        by_name = {s.name: s for s in fleet.shards}
+        first, second, third = map(by_name.get, fleet.blob_holders(digest))
+        assert fleet.serving_endpoints(digest) == [first]
+        first.reserve(0.0, 1000)
+        assert fleet.serving_endpoints(digest) == [second]
+        second.reserve(0.0, 1000)
+        assert fleet.serving_endpoints(digest) == [third]
+        third.reserve(0.0, 1000)
+        assert fleet.serving_endpoints(digest) == [first]
+        fleet.crash_shard(first.name)
+        assert fleet.serving_endpoints(digest) == [second]

@@ -17,6 +17,9 @@ Invariants:
   holders whenever its placement is all live — and, once its whole
   placement holds it, by no other shard (an ex-holder keeps its copy
   while a crashed placement shard lacks the blob: it may be the last);
+* the ring's placement memo never goes stale: after every rule, each
+  known digest's holders equal those of a freshly built ring over the
+  same shards (a memo kept across ``add_shard`` would fail this);
 * every successful pull and cache pull is digest-identical to the
   model's, and a request the fleet refuses for auth or quota the model
   refuses with the same exception type.  The fleet may additionally fail
@@ -33,7 +36,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.archive import TarArchive, TarMember
 from repro.cas.store import blob_digest
-from repro.cluster import RegistryFleet
+from repro.cluster import HashRing, RegistryFleet
 from repro.cluster.fleet import FleetAuthError, FleetError, FleetQuotaError
 from repro.containers import ImageConfig, Registry
 from repro.kernel import FileType
@@ -216,6 +219,19 @@ class FleetVersusRegistry(RuleBasedStateMachine):
                 if placement <= live:
                     assert len(holding & live) == min(
                         self.fleet.replicas, len(live))
+
+    @invariant()
+    def placement_memo_matches_a_fresh_ring(self):
+        ring = self.fleet.ring
+        fresh = HashRing(ring.shards, vnodes=ring.vnodes)
+        known = {d for ref in self.images
+                 for d in self.fleet.image_blob_digests(ref)}
+        known.update(d for ref in self.caches
+                     for d in self.fleet.cache_blob_digests(ref))
+        for digest in sorted(known):
+            assert ring.holders(digest, self.fleet.replicas) \
+                == fresh.holders(digest, self.fleet.replicas), \
+                f"{digest[:19]}: stale placement memo"
 
     @invariant()
     def ledgers_equal_resident_bytes(self):

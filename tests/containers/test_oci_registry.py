@@ -1,11 +1,17 @@
 """Image references, manifests, and registry behaviour."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.archive import TarArchive, TarMember
-from repro.containers import ImageConfig, ImageRef, Registry
-from repro.errors import RegistryError
+from repro.containers import ImageConfig, ImageRef, Manifest, Registry
+from repro.errors import RegistryError, SupplyPolicyError
 from repro.kernel import FileType
+from repro.supply import KeyRegistry, PolicyGate, SupplyPolicy
 
 
 def layer(name: str, data: bytes = b"payload") -> TarArchive:
@@ -208,3 +214,80 @@ class TestManifest:
     def test_config_history(self):
         cfg = ImageConfig().with_history("step 1").with_history("step 2")
         assert cfg.history == ("step 1", "step 2")
+
+
+def fresh_digest(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+def config_oracle(cfg: ImageConfig) -> str:
+    """The config digest hashed afresh from its canonical body."""
+    return fresh_digest(repr(cfg))
+
+
+def manifest_oracle(manifest: Manifest) -> str:
+    return fresh_digest(config_oracle(manifest.config)
+                        + "".join(manifest.layers))
+
+
+TEXT = st.text("abcxyz=/ 0123", max_size=8)
+CONFIGS = st.builds(ImageConfig,
+                    arch=st.sampled_from(["x86_64", "aarch64"]),
+                    env=st.lists(TEXT, max_size=3).map(tuple),
+                    history=st.lists(TEXT, max_size=3).map(tuple))
+LAYERS = st.lists(st.binary(max_size=16).map(
+    lambda b: fresh_digest(b.hex())), min_size=1, max_size=4).map(tuple)
+
+
+class TestDigestMemo:
+    """``Manifest.digest()`` and ``ImageConfig.digest()`` hash once per
+    object; the memo must never be visible or outlive its content."""
+
+    @given(cfg=CONFIGS, layers=LAYERS)
+    def test_digest_is_sha256_of_the_canonical_body(self, cfg, layers):
+        manifest = Manifest(config=cfg, layers=layers)
+        for _ in range(2):                 # the hashing call, then the memo
+            assert cfg.digest() == config_oracle(cfg)
+            assert manifest.digest() == manifest_oracle(manifest)
+
+    @given(cfg=CONFIGS, layers=LAYERS, other=LAYERS)
+    def test_replace_yields_a_fresh_digest(self, cfg, layers, other):
+        manifest = Manifest(config=cfg, layers=layers)
+        manifest.digest()
+        swapped = replace(manifest, layers=other)
+        assert swapped.digest() == manifest_oracle(swapped)
+        assert (swapped.digest() == manifest.digest()) == (other == layers)
+        history = cfg.with_history("RUN true")
+        cfg.digest()
+        assert history.digest() == config_oracle(history) != cfg.digest()
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        cfg, twin_cfg = ImageConfig(env=("A=1",)), ImageConfig(env=("A=1",))
+        manifest = Manifest(config=cfg, layers=(fresh_digest("l"),))
+        twin = Manifest(config=twin_cfg, layers=(fresh_digest("l"),))
+        before = repr(manifest)
+        manifest.digest()                  # memoizes on manifest and cfg
+        assert manifest == twin and cfg == twin_cfg
+        assert hash(manifest) == hash(twin) and hash(cfg) == hash(twin_cfg)
+        assert repr(manifest) == repr(twin) == before
+        assert repr(cfg) == repr(twin_cfg)
+        assert cfg.digest() == twin_cfg.digest()
+
+    def test_tampered_manifest_is_rejected_after_the_original_verified(self):
+        keys = KeyRegistry(seed=0)
+        reg = Registry("site")
+        reg.signer = keys.signer("site-ci")
+        gate = PolicyGate(SupplyPolicy(require_sbom=False,
+                                       require_provenance=False), keys=keys)
+        original = reg.push("app:v1", ImageConfig(),
+                            [layer("bin", b"b" * 100), layer("lib")])
+        gate.verify_pull(reg, "app:v1", original)
+        tampered = replace(original, layers=(original.layers[0],
+                                             fresh_digest("forged")))
+        with pytest.raises(SupplyPolicyError, match="does not match"):
+            gate.verify_pull(reg, "app:v1", tampered)
+        reg.policy_gate = gate
+        reg.put_manifest("app:v1", tampered)
+        with pytest.raises(SupplyPolicyError):
+            reg.pull("app:v1")
+        assert reg.stats.bytes_pulled == 0
