@@ -1,13 +1,15 @@
 """Fleet-scale engine throughput: the opt-on/opt-off ablation.
 
-The simulation engine got three perf layers — closed-form bulk
-transfers, leaf-event coalescing, and a bucketed event queue — all
-contractually **bit-identical** to the reference implementations they
-replace (``docs/PERFORMANCE.md``).  This benchmark is the proof at
-fleet scale: a 10k-node registry pull storm, a 10k-node pipelined tree
-broadcast, and a seeded Zipf pull workload, each run with optimizations
-on and again in reference mode, asserting float-identical reports and
-digest-identical node stores while timing both.
+The simulation engine has two perf layers — closed-form bulk transfers
+and leaf-event coalescing — both contractually **bit-identical** to the
+reference implementations they replace (``docs/PERFORMANCE.md``).  This
+benchmark is the proof at fleet scale: a 10k-node registry pull storm, a
+10k-node pipelined tree broadcast, and a seeded Zipf pull workload, each
+run with optimizations on and again in reference mode, asserting
+float-identical reports and digest-identical node stores while timing
+both.  The workload leg runs neither layer (its pulls move no chunks
+and every event queue is the one heap queue), so its two timings
+measure the same code.
 
 The headline gate is the §4.2 pull storm — 10 000 same-timestamp pull
 events, 1024 chunks per hop — where the closed-form transfer path must
@@ -146,7 +148,7 @@ def test_engine_throughput_ablation():
     speedup = storm_evs_opt / storm_evs_ref
     assert speedup >= 10.0, \
         f"pull storm only {speedup:.1f}x the reference engine"
-    # the storm is one 10k-event same-timestamp bucket plus the start
+    # the storm is 10k same-timestamp pull events plus the start
     assert sp_o.events["_BlobCast.pull"] == N_NODES
 
     # --- leg 2: the pipelined tree (identity + coalescing gate) -------

@@ -101,11 +101,6 @@ class TransferRecord:
     start: float
     end: float
 
-    def as_dict(self) -> dict:
-        return {"digest": self.digest[:19], "size": self.size,
-                "src": self.src, "dst": self.dst,
-                "start": round(self.start, 9), "end": round(self.end, 9)}
-
 
 @dataclass
 class BroadcastReport:
@@ -285,10 +280,9 @@ class _BlobCast:
 
         if self.strategy == "registry":
             # one pull event per node, all at t0: the §4.2 pull storm is
-            # a same-timestamp flood, and the EventQueue bucket fast path
-            # absorbs it without heap churn.  FIFO within the bucket
-            # keeps the registry link's FIFO reservations in the same
-            # order a synchronous loop would produce.
+            # a same-timestamp flood.  The EventQueue pops equal times
+            # FIFO, which keeps the registry link's FIFO reservations in
+            # the same order a synchronous loop would produce.
             for node in needy:
                 ctx.engine.at(t0, self.pull, node, 0)
             return

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..cas.store import ContentStore
-from ..containers.oci import ImageRef
 from ..containers.registry import (FleetAuthError, FleetError,
                                    FleetQuotaError, Registry, Tenant)
 from ..errors import TransientError
@@ -105,12 +104,6 @@ class HashRing:
     @property
     def shards(self) -> list[str]:
         return sorted(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._shards
 
     def _vnode_points(self, name: str) -> list[tuple[int, str]]:
         return [(_ring_hash(f"{name}#{i}"), name)
@@ -398,12 +391,11 @@ class RegistryFleet(Registry):
         registry pulls instead of assuming one origin."""
         if digest is None:
             return list(self.shards)
-        return [self._route(digest)]
+        return [self._route(digest, self._now())]
 
-    def _route(self, digest: str) -> RegistryShard:
-        """The least-loaded live holder, in one pass in ring order: a
-        strict ``<`` keeps the earlier holder on a tie."""
-        now = self._now()
+    def _route(self, digest: str, now: float) -> RegistryShard:
+        """The least-loaded live holder at *now*, in one pass in ring
+        order: a strict ``<`` keeps the earlier holder on a tie."""
         holders = self.blob_holders(digest)
         best, best_depth = None, 0
         for shard in map(self._by_name.__getitem__, holders):
@@ -461,14 +453,26 @@ class RegistryFleet(Registry):
             self._fill(primary, [digest], fill)
         return True
 
-    def _serve_blob(self, digest: str) -> bytes:
-        """Ring routing and admission, then the shard serves."""
-        shard = self._route(digest)
-        if self.clock is not None:
-            now = self._now()
-            shard.check_admission(now)
-            shard.reserve(now, shard.blob_size(digest))
-        return shard.serve(digest)
+    def _serve_blobs(self, digests: Sequence[str], now: float
+                     ) -> tuple[list[bytes], float]:
+        """Route every blob of one client request to its nearest live
+        holder.  On a clocked fleet, admission-check all of them before
+        reserving any (all-or-nothing: a refused request reserves no
+        service), then reserve FIFO service; the request completes at
+        its latest reservation end."""
+        clocked = self.clock is not None
+        planned: list[RegistryShard] = []
+        for digest in digests:
+            shard = self._route(digest, now)
+            if clocked:
+                shard.check_admission(now, extra=planned.count(shard))
+            planned.append(shard)
+        blobs, end = [], now
+        for shard, digest in zip(planned, digests):
+            if clocked:
+                end = max(end, shard.reserve(now, shard.blob_size(digest)))
+            blobs.append(shard.serve(digest))
+        return blobs, end
 
     def _drop_blob(self, digest: str) -> None:
         for shard in self.shards:
@@ -492,41 +496,6 @@ class RegistryFleet(Registry):
                 shard.hold(digest)
         if self.tracer is not None:
             self.tracer.metrics.count_net("fleet_rebalance_bytes", moved)
-
-    # -- the workload generator's request path -----------------------------
-
-    def timed_pull(self, ref: ImageRef | str, *,
-                   now: Optional[float] = None,
-                   token: Optional[str] = None) -> float:
-        """One workload-generator pull: route and *admission-check every
-        layer first* (all-or-nothing, so a rejected request reserves no
-        service and no bytes are double-counted on retry), then reserve
-        and serve; returns the virtual completion time."""
-        if isinstance(ref, str):
-            ref = ImageRef.parse(ref)
-        now = self._now() if now is None else now
-        tenant = self._tenant_of(ref.repository)
-        self._authorize(tenant, token, "pull")
-        if self.fault_injector is not None:
-            self.fault_injector.check("fetch_blob")
-        manifest = self.manifest(ref)
-        self._verify_served(ref, manifest)
-        planned: list[tuple[RegistryShard, str, int]] = []
-        pending: dict[str, int] = {}
-        for digest in manifest.layers:
-            shard = self._route(digest)
-            shard.check_admission(now, extra=pending.get(shard.name, 0))
-            pending[shard.name] = pending.get(shard.name, 0) + 1
-            planned.append((shard, digest, shard.blob_size(digest)))
-        end = now
-        for shard, digest, size in planned:
-            end = max(end, shard.reserve(now, size))
-            blob = shard.serve(digest)
-            self.stats.blobs_pulled += 1
-            self.stats.bytes_pulled += len(blob)
-        if tenant is not None:
-            tenant.pulls += 1
-        return end
 
     # -- fleet operations --------------------------------------------------
 

@@ -11,12 +11,17 @@ The class has two planes.  The *metadata plane* — manifests and their
 log, cache-manifest pointers, signatures, attestations, the ownership
 policy, tenants and their quota ledgers — and the request paths over it
 (push, pull, cache export/import) exist once, here.  The *blob plane* is
-a handful of methods on ``self`` (``_store_blob``, ``_serve_blob``,
+a handful of methods on ``self`` (``_store_blob``, ``_serve_blobs``,
 ``_drop_blob``, ``has_blob``, ``blob_size``, ``blob_at_rest``,
 ``storage_bytes``, ``serving_endpoints``); this class implements them on
 one :class:`~repro.cas.ContentStore`, and
 :class:`~repro.cluster.fleet.RegistryFleet` implements them on sharded,
 replicated stores.
+
+Every client read — :meth:`Registry.pull`, :meth:`Registry.timed_pull`
+and :meth:`Registry.fetch_blob` — is one request through
+:meth:`Registry._fetch`: one fault check, one ``_serve_blobs`` call for
+every blob the caller does not already hold, then the byte counters.
 """
 
 from __future__ import annotations
@@ -157,8 +162,9 @@ class Registry:
         #: push/pull spans.
         self.tracer = None
         #: Optional :class:`~repro.sim.RegistryFaultInjector` — when set,
-        #: ``fetch_blob``/``push`` raise ``TransientRegistryError`` inside
-        #: the plan's flake windows and callers retry per their policy.
+        #: client reads (:meth:`_fetch`) and ``push`` raise
+        #: ``TransientRegistryError`` inside the plan's flake windows and
+        #: callers retry per their policy.
         self.fault_injector = None
 
     def _now(self) -> float:
@@ -211,9 +217,12 @@ class Registry:
             self.store.incref(digest)
         return moved
 
-    def _serve_blob(self, digest: str) -> bytes:
-        """Read one blob for a client transfer (the caller counts it)."""
-        return self.blob_at_rest(digest)
+    def _serve_blobs(self, digests: Sequence[str], now: float
+                     ) -> tuple[list[bytes], float]:
+        """Read the blobs of one client request (the caller counts
+        them); returns their bytes and the request's completion time.
+        A single registry has no service queue: it completes at *now*."""
+        return [self.blob_at_rest(d) for d in digests], now
 
     def _drop_blob(self, digest: str) -> None:
         """Release one blob a failed request placed."""
@@ -270,24 +279,46 @@ class Registry:
 
     def fetch_blob(self, digest: str, *,
                    local_store: Optional[ContentStore] = None) -> bytes:
-        """Pull one blob by digest.  If the caller's node-local
-        *local_store* already holds the bytes, they are served from there
-        and the wire transfer is skipped (counted as a pull-skip — the
-        mirror of push-side dedup).  A freshly pulled blob is dropped into
-        *local_store* so the next puller on that node skips too."""
-        if local_store is not None and local_store.has(digest):
-            blob = local_store.get(digest)
-            self.stats.blobs_pull_skipped += 1
-            self.stats.bytes_pull_skipped += len(blob)
-            return blob
-        if self.fault_injector is not None:
-            self.fault_injector.check("fetch_blob")
-        blob = self._serve_blob(digest)
-        self.stats.blobs_pulled += 1
-        self.stats.bytes_pulled += len(blob)
+        """Pull one blob by digest: a one-blob :meth:`_fetch`."""
+        return self._fetch((digest,), local_store, self._now())[0][0]
+
+    def _fetch(self, digests: Sequence[str],
+               local_store: Optional[ContentStore], now: float
+               ) -> tuple[list[bytes], float]:
+        """The one client read request; returns the blobs in *digests*
+        order and the virtual time the request completes.
+
+        Blobs the caller's node-local *local_store* already holds are
+        served from there and counted as pull-skips (the mirror of
+        push-side dedup).  The rest pass one fault check and one
+        :meth:`_serve_blobs` call, are counted as pulled, and are
+        dropped into *local_store* so the next puller on that node
+        skips them.  A request that raises counts nothing, so a retry
+        double-counts no byte."""
+        wire = digests
         if local_store is not None:
+            # each distinct digest: its local bytes, or None to fetch once
+            held = {d: local_store.get(d) if local_store.has(d) else None
+                    for d in dict.fromkeys(digests)}
+            wire = [d for d, blob in held.items() if blob is None]
+        blobs, end = [], now
+        if wire:
+            if self.fault_injector is not None:
+                self.fault_injector.check("fetch_blob")
+            blobs, end = self._serve_blobs(wire, now)
+        stats = self.stats
+        for blob in blobs:
+            stats.blobs_pulled += 1
+            stats.bytes_pulled += len(blob)
+        if local_store is None:
+            return blobs, end
+        for d, blob in zip(wire, blobs):
             local_store.put(blob)
-        return blob
+            held[d] = blob
+        out = [held[d] for d in digests]
+        stats.blobs_pull_skipped += len(out) - len(blobs)
+        stats.bytes_pull_skipped += sum(map(len, out)) - sum(map(len, blobs))
+        return out, end
 
     # -- tenancy ----------------------------------------------------------------------
 
@@ -495,19 +526,38 @@ class Registry:
         Every pull still fetches each blob, but a layer digest is decoded
         once and its immutable archive is shared by every puller."""
         ref = _parse(ref)
-        tenant = self._tenant_of(ref.repository)
         with maybe_span(self.tracer,
                         f"pull {ref.repository}:{ref.tag}", "pull",
                         registry=self.name):
-            self._authorize(tenant, token, "pull")
-            manifest = self.manifest(ref, arch=arch)
-            self._verify_served(ref, manifest)
-            layers = [self._decode(d, self.fetch_blob(
-                          d, local_store=local_store))
-                      for d in manifest.layers]
-            if tenant is not None:
-                tenant.pulls += 1
+            manifest, blobs, _ = self._pull(ref, arch, local_store, token,
+                                            self._now())
+            layers = [self._decode(d, blob)
+                      for d, blob in zip(manifest.layers, blobs)]
         return manifest.config, layers
+
+    def timed_pull(self, ref: ImageRef | str, *,
+                   now: Optional[float] = None,
+                   token: Optional[str] = None) -> float:
+        """One workload-generator pull: :meth:`pull` without the decode,
+        arriving at virtual time *now* (default: the registry's clock).
+        Returns the time the request completes — on a clocked fleet,
+        the end of its last shard reservation."""
+        now = self._now() if now is None else now
+        return self._pull(_parse(ref), None, None, token, now)[2]
+
+    def _pull(self, ref: ImageRef, arch: Optional[str],
+              local_store: Optional[ContentStore], token: Optional[str],
+              now: float) -> tuple[Manifest, list[bytes], float]:
+        """Authorize, look up and verify the manifest, then fetch its
+        layer blobs as one :meth:`_fetch` request."""
+        tenant = self._tenant_of(ref.repository)
+        self._authorize(tenant, token, "pull")
+        manifest = self.manifest(ref, arch=arch)
+        self._verify_served(ref, manifest)
+        blobs, end = self._fetch(manifest.layers, local_store, now)
+        if tenant is not None:
+            tenant.pulls += 1
+        return manifest, blobs, end
 
     def _decode(self, digest: str, blob: bytes) -> TarArchive:
         """The archive a layer blob encodes, decoded once per digest (the

@@ -138,10 +138,6 @@ class StorageDriver:
             self._snapshots[path] = _snapshot(self.sys, path)
         return path
 
-    def begin_build(self, base_name: str, build_name: str) -> str:
-        """A mutable working tree seeded from *base_name*."""
-        raise NotImplementedError
-
     def commit(self, build_path: str, message: str = "") -> TarArchive:
         """Record a layer commit: returns the *diff* since the previous
         snapshot (manifests are driver-independent); drivers differ in what
@@ -155,9 +151,6 @@ class StorageDriver:
             if sp is not None:
                 sp.meta["diff_members"] = len(diff)
         return diff
-
-    def _charge_commit(self, diff: TarArchive, snap: Snapshot) -> None:
-        raise NotImplementedError
 
     def _diff_since_snapshot(self, build_path: str
                              ) -> tuple[TarArchive, Snapshot]:

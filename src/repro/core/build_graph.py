@@ -194,10 +194,6 @@ class TaskReport:
     error: str = ""
     attempts: int = 1
 
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
-
 
 @dataclass
 class ScheduleReport:

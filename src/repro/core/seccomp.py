@@ -62,13 +62,6 @@ class SeccompSyscalls(FakerootSyscalls):
     def clone_for(self, proc):
         return SeccompSyscalls(self.inner.clone_for(proc), self.db)
 
-    # seccomp filters see every clone/execve: static binaries included
-    # (EngineSpec.wraps_static_binaries keys off approach == "ptrace", so
-    # override explicitly).
-    @property
-    def wraps_static(self) -> bool:  # pragma: no cover - informational
-        return True
-
     # -- fake the set*id family -------------------------------------------------
 
     def setuid(self, uid: int) -> None:

@@ -80,12 +80,6 @@ class Package:
         """name-version-release.arch, the rpm transcript form."""
         return f"{self.name}-{self.version}-{self.release}.{self.arch}"
 
-    @property
-    def deb_version(self) -> str:
-        return self.version
-
-    def size_bytes(self) -> int:
-        return sum(len(f.content) for f in self.files)
 
 
 class PackageDb:

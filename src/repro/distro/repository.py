@@ -82,6 +82,3 @@ class PackageUniverse:
         if rid.startswith(REPO_SCHEME):
             rid = rid[len(REPO_SCHEME):]
         return rid in self._repos
-
-    def repo_ids(self) -> list[str]:
-        return sorted(self._repos)

@@ -83,9 +83,6 @@ class LieDatabase:
     def forget(self, dev: int, ino: int) -> None:
         self._lies.pop((dev, ino), None)
 
-    def clear(self) -> None:
-        self._lies.clear()
-
     # -- serialization -------------------------------------------------------------
 
     def dump(self) -> bytes:

@@ -9,7 +9,7 @@ helpers consult them to decide which maps an unprivileged user may install
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..errors import ReproError
 from ..kernel.types import ID_MAX, check_id
@@ -82,9 +82,6 @@ class SubidFile:
 
     def format(self) -> str:
         return "".join(e.format() + "\n" for e in self._entries)
-
-    def __iter__(self) -> Iterator[SubidEntry]:
-        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

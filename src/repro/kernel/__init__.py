@@ -5,7 +5,7 @@ UID/GID maps, mount namespaces, a VFS with UNIX permission semantics,
 capabilities, and a syscall layer with faithful errno behaviour.
 """
 
-from .capabilities import Cap, EMPTY_CAP_SET, FULL_CAP_SET, cap_set
+from .capabilities import Cap, EMPTY_CAP_SET, FULL_CAP_SET
 from .cred import Credentials
 from .filesystem import make_ext4, make_gpfs, make_lustre, make_nfs, make_tmpfs
 from .idmap import IDENTITY_MAP, IdMap, IdMapEntry
@@ -30,7 +30,6 @@ __all__ = [
     "Cap",
     "EMPTY_CAP_SET",
     "FULL_CAP_SET",
-    "cap_set",
     "Credentials",
     "make_ext4",
     "make_gpfs",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Cap", "FULL_CAP_SET", "EMPTY_CAP_SET", "cap_set"]
+__all__ = ["Cap", "FULL_CAP_SET", "EMPTY_CAP_SET"]
 
 
 class Cap(enum.Enum):
@@ -42,8 +42,3 @@ FULL_CAP_SET: frozenset[Cap] = frozenset(Cap)
 
 #: No capabilities — a normal unprivileged process.
 EMPTY_CAP_SET: frozenset[Cap] = frozenset()
-
-
-def cap_set(*caps: Cap) -> frozenset[Cap]:
-    """Convenience constructor for a capability set."""
-    return frozenset(caps)

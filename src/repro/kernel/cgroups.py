@@ -32,9 +32,6 @@ class Cgroup:
     pids: set[int] = field(default_factory=set)
     children: dict[str, "Cgroup"] = field(default_factory=dict)
 
-    def path_of(self, prefix: str = "") -> str:  # pragma: no cover - cosmetic
-        return f"{prefix}/{self.name}"
-
 
 class CgroupV1Hierarchy:
     """cgroups v1: root-only writes; the reason rootless Podman skips cgroups."""

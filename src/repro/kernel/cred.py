@@ -89,15 +89,6 @@ class Credentials:
 
     # -- namespace-relative views ------------------------------------------------
 
-    @property
-    def ns_uid(self) -> int:
-        """euid as seen inside the process's own user namespace."""
-        return self.userns.uid_display(self.euid)
-
-    @property
-    def ns_gid(self) -> int:
-        return self.userns.gid_display(self.egid)
-
     def enter_userns(self, ns: UserNamespace, *, full_caps: bool = True) -> None:
         """Move into *ns* (unshare/setns semantics).
 

@@ -124,9 +124,6 @@ class IdMap:
     def __iter__(self) -> Iterator[IdMapEntry]:
         return iter(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IdMap):
             return NotImplemented

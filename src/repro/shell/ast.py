@@ -42,16 +42,9 @@ class Word:
 
     segments: tuple[Segment, ...]
 
-    @classmethod
-    def literal(cls, text: str) -> "Word":
-        return cls((Segment(text, "'"),))
-
     def raw(self) -> str:
         """The word's text with quoting removed (pre-expansion)."""
         return "".join(s.text for s in self.segments)
-
-    def is_literal(self, text: str) -> bool:
-        return self.raw() == text
 
 
 @dataclass(frozen=True)

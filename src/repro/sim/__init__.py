@@ -7,7 +7,7 @@ can report makespans instead of pretending a for-loop is a cluster.
 """
 
 from .clock import SimClock
-from .events import EventQueue, ReferenceEventQueue, SimEngine, SimError
+from .events import EventQueue, SimEngine, SimError
 from .faults import (
     FaultPlan,
     FaultPlanError,
@@ -55,7 +55,6 @@ from .workload import (
 __all__ = [
     "SimClock",
     "EventQueue",
-    "ReferenceEventQueue",
     "SimEngine",
     "SimError",
     "EngineProfile",

@@ -8,14 +8,10 @@ firing it.  Callbacks may schedule further events, which is how pipelined
 transfers chain: a chunk-arrival event at a relay node schedules that
 relay's onward sends.
 
-The default :class:`EventQueue` keeps a binary heap of *distinct*
-timestamps with a FIFO bucket per timestamp.  Fleet-scale workloads are
-full of equal-time floods — 10k rank-ready events at job start, 10k pull
-events at distribution start — and the bucket fast path turns each of
-those from 10k × O(log n) heap churn into one heap entry plus O(1)
-appends/pops.  :class:`ReferenceEventQueue` is the pre-optimization
-``(time, seq, payload)`` heap, kept as the oracle for the throughput
-ablation; both orders are identical by construction.
+:class:`EventQueue` is a binary heap of ``(time, seq, fn, args)``
+entries; the global sequence number breaks equal-time ties FIFO.  (A
+queue bucketed by timestamp wins only on pure same-time floods; on the
+benchmark's workloads it was slower and larger — ``docs/PERFORMANCE.md``.)
 
 Determinism: no wall clock, no randomness — identical schedules replay
 identically, which the golden-transcript discipline of this repo depends
@@ -29,15 +25,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from typing import Any, Callable, Optional
 
 from ..errors import ReproError
-from . import opts
 from .clock import SimClock
 from .profile import EngineProfile
 
-__all__ = ["EventQueue", "ReferenceEventQueue", "SimEngine", "SimError"]
+__all__ = ["EventQueue", "SimEngine", "SimError"]
 
 
 class SimError(ReproError):
@@ -55,54 +49,8 @@ def _check_time(time: float) -> float:
 
 
 class EventQueue:
-    """A time-ordered queue of ``(time, fn, args)`` entries.
-
-    FIFO within equal timestamps; a heap of distinct times with one
-    deque bucket each, so same-timestamp floods cost O(1) per event.
-    """
-
-    def __init__(self):
-        self._times: list[float] = []            # heap of distinct times
-        self._buckets: dict[float, deque] = {}
-        self._count = 0
-        self.scheduled = 0
-
-    def push(self, time: float, fn: Callable, *args: Any) -> None:
-        time = _check_time(time)
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = bucket = deque()
-            heapq.heappush(self._times, time)
-        bucket.append((fn, args))
-        self._count += 1
-        self.scheduled += 1
-
-    def pop(self) -> tuple[float, Callable, tuple]:
-        if not self._count:
-            raise SimError("pop from an empty event queue")
-        time = self._times[0]
-        bucket = self._buckets[time]
-        fn, args = bucket.popleft()
-        if not bucket:
-            heapq.heappop(self._times)
-            del self._buckets[time]
-        self._count -= 1
-        return time, fn, args
-
-    def peek_time(self) -> Optional[float]:
-        return self._times[0] if self._times else None
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-
-class ReferenceEventQueue:
-    """The pre-optimization queue: one heap entry per event, a global
-    sequence number breaking equal-time ties FIFO.  Pops in exactly the
-    order :class:`EventQueue` does — kept as the ablation baseline."""
+    """A time-ordered queue of ``(time, fn, args)`` entries, FIFO within
+    equal timestamps."""
 
     def __init__(self):
         self._heap: list[tuple[float, int, Callable, tuple]] = []
@@ -141,7 +89,7 @@ class SimEngine:
     def __init__(self, clock: Optional[SimClock] = None, *,
                  profile: Optional[EngineProfile] = None):
         self.clock = clock if clock is not None else SimClock()
-        self.queue = EventQueue() if opts.ENABLED else ReferenceEventQueue()
+        self.queue = EventQueue()
         self.events_processed = 0
         self.profile = profile
 

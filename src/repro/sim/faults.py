@@ -338,7 +338,7 @@ class FaultPlan:
 class RegistryFaultInjector:
     """Makes a Registry raise ``TransientRegistryError`` inside a flake
     window.  Installed as ``registry.fault_injector``; the registry calls
-    :meth:`check` at the top of ``fetch_blob``/``push``."""
+    :meth:`check` once per client read request and once per push."""
 
     def __init__(self, plan: FaultPlan, clock):
         self.plan = plan

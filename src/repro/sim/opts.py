@@ -1,10 +1,9 @@
 """Engine optimization switches.
 
-The fleet-scale engine has three optimizations layered on the reference
+The fleet-scale engine has two optimizations layered on the reference
 discrete-event semantics: the closed-form bulk transmit path
-(:mod:`~repro.sim.transfer`), the same-timestamp bucket event queue
-(:mod:`~repro.sim.events`), and broadcast event coalescing
-(:mod:`~repro.cluster.broadcast`).  All three are *pure* speedups — every
+(:mod:`~repro.sim.transfer`) and broadcast event coalescing
+(:mod:`~repro.cluster.broadcast`).  Both are *pure* speedups — every
 virtual timestamp, LinkStats float, and deploy digest is bit-identical
 with them on or off — and this module is the single switch the parity
 tests and ``benchmarks/test_scaling_engine.py::test_engine_throughput_ablation``
@@ -54,7 +53,7 @@ def set_optimizations(enabled: bool) -> bool:
 @contextmanager
 def reference_engine():
     """Run a block on the reference (pre-optimization) engine: per-chunk
-    transmit loop, plain binary-heap event queue, no event coalescing."""
+    transmit loop, no event coalescing, and every other fast path off."""
     previous = set_optimizations(False)
     try:
         yield

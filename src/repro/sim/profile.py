@@ -104,9 +104,6 @@ class CounterRegistry:
     def count(self, name: str, n: int = 1) -> None:
         self._counts[name] = self._counts.get(name, 0) + n
 
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
     def snapshot(self) -> dict[str, int]:
         """A sorted copy, safe to diff against a later one."""
         return dict(sorted(self._counts.items()))
@@ -120,9 +117,6 @@ class CounterRegistry:
             if d:
                 out[name] = d
         return dict(sorted(out.items()))
-
-    def reset(self) -> None:
-        self._counts.clear()
 
 
 #: Process-global registry (mirrors how ``opts.ENABLED`` is one switch):

@@ -220,8 +220,8 @@ class TestDistributeBlobs:
 
 
 class TestOptimizationParity:
-    """The engine fast paths (bulk transmit, bucket queue, leaf-event
-    coalescing) must be invisible: identical reports — every float —
+    """The engine fast paths (bulk transmit, leaf-event coalescing)
+    must be invisible: identical reports — every float —
     and digest-identical node stores with optimizations on vs off."""
 
     def _run(self, strategy, *, holders=0, plan=None):
@@ -263,7 +263,7 @@ class TestOptimizationParity:
     def test_fault_plan_disables_coalescing_but_stays_identical(self):
         """Under a live fault plan every transfer keeps its chunk
         schedule (repair may promote leaves to relays), yet the bulk
-        transmit and bucket queue still apply — results must match the
+        transmit still applies — results must match the
         reference engine exactly, including the repaired tree."""
         def plan():
             return FaultPlan(seed=7).add_node_crash("cn1", 1e-6)
@@ -301,8 +301,9 @@ def counting_work():
 class _Tampering(Registry):
     """A registry whose blob reads come back altered on the wire."""
 
-    def _serve_blob(self, digest):
-        return super()._serve_blob(digest) + b"tampered"
+    def _serve_blobs(self, digests, now):
+        blobs, end = super()._serve_blobs(digests, now)
+        return [blob + b"tampered" for blob in blobs], end
 
 
 _members = st.lists(st.builds(

@@ -1,11 +1,14 @@
 """Fleet operations that move blobs between stores: growing the fleet
 (``add_shard``) and swapping a fleet in for a registry (``deploy_fleet``),
-and the shard admission queue those requests pass through.
+the shard admission queue those requests pass through, and the one
+client read request (``pull``, ``timed_pull`` and ``fetch_blob``).
 
 Regressions pinned here: ``add_shard`` released an ex-holder's copy
 before filling the new shard from it; a repair released an ex-holder's
-last copy while the blob's new holder was down; and ``deploy_fleet``
-re-pushed manifests only, dropping signatures and cache manifests.
+last copy while the blob's new holder was down; ``deploy_fleet``
+re-pushed manifests only, dropping signatures and cache manifests; and
+``pull`` on a clocked fleet admitted, reserved and counted its first
+layer before a later layer was refused.
 """
 
 import json
@@ -16,12 +19,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.archive import TarArchive, TarMember
-from repro.cas.store import blob_digest
+from repro.cas.store import ContentStore, blob_digest
 from repro.cluster import RegistryFleet, deploy_fleet
 from repro.cluster.fleet import (FleetAuthError, FleetOverloadError,
                                  RegistryShard)
 from repro.containers import ImageConfig, Registry
+from repro.errors import RegistryError, TransientRegistryError
 from repro.kernel import FileType
+from repro.sim import FaultPlan, SimClock
 from repro.supply import KeyRegistry
 
 
@@ -263,3 +268,132 @@ class TestRouting:
         assert fleet.serving_endpoints(digest) == [first]
         fleet.crash_shard(first.name)
         assert fleet.serving_endpoints(digest) == [second]
+
+
+def clocked_fleet(n_shards=1, replicas=1, queue_limit=None):
+    return RegistryFleet("site", n_shards=n_shards, replicas=replicas,
+                         queue_limit=queue_limit, clock=SimClock())
+
+
+def read(fleet, ref, now, how):
+    """One client read at *now*: ``("ok", completion time)`` or the
+    refusal's ``(exception type, retry_at)``.  A ``pull`` returns no
+    completion time, so it is read off the shards it reserved: a
+    shard's last reservation ends at its ``_busy_until``."""
+    fleet.clock.advance_to(now)
+    admitted = [s.stats.admitted for s in fleet.shards]
+    try:
+        if how == "timed_pull":
+            return "ok", fleet.timed_pull(ref, now=now)
+        fleet.pull(ref)
+    except RegistryError as err:
+        return type(err), getattr(err, "retry_at", None)
+    return "ok", max([now] + [s._busy_until for s, n
+                              in zip(fleet.shards, admitted)
+                              if s.stats.admitted > n])
+
+
+class TestOneReadPath:
+    """``pull`` and ``timed_pull`` are one request: route and
+    admission-check every layer, then reserve and serve, then count."""
+
+    def test_refused_pull_admits_reserves_and_counts_nothing(self):
+        """One shard, one queue slot, two layers: the request cannot be
+        admitted, and it must leave no trace — a retry would otherwise
+        count the first layer's bytes twice."""
+        for how in ("pull", "timed_pull"):
+            fleet = clocked_fleet(queue_limit=1)
+            fleet.push("app:v1", ImageConfig(),
+                       [layer("bin", payload(1)), layer("lib", payload(2))])
+            with pytest.raises(FleetOverloadError):
+                getattr(fleet, how)("app:v1")
+            stats = fleet.shards[0].stats
+            assert (stats.admitted, stats.served_blobs, stats.rejected) \
+                == (0, 0, 1), how
+            assert fleet.shards[0].queue_depth(0.0) == 0
+            assert fleet.stats.blobs_pulled == fleet.stats.bytes_pulled == 0
+
+    @given(n_shards=st.integers(1, 3), data=st.data(),
+           queue_limit=st.one_of(st.none(), st.integers(1, 4)),
+           images=st.lists(st.lists(st.integers(0, 5), min_size=1,
+                                    max_size=3), min_size=1, max_size=4),
+           tape=st.lists(st.tuples(st.integers(0, 8).map(lambda k: k / 400),
+                                   st.integers(0, 4)), max_size=30),
+           flake=st.one_of(st.none(), st.tuples(st.floats(0.0, 0.05),
+                                                st.floats(0.001, 0.02))),
+           crash=st.one_of(st.none(), st.tuples(st.integers(0, 2),
+                                                st.floats(0.0, 0.1))))
+    def test_pull_and_timed_pull_are_one_request(self, n_shards, data,
+                                                 queue_limit, images, tape,
+                                                 flake, crash):
+        replicas = data.draw(st.integers(1, n_shards), label="replicas")
+        twins = [clocked_fleet(n_shards, replicas, queue_limit)
+                 for _ in range(2)]
+        refs = [f"app:v{i}" for i in range(len(images))] + ["app:gone"]
+        for fleet in twins:
+            for ref, seeds in zip(refs, images):
+                fleet.push(ref, ImageConfig(),
+                           [layer(f"f{k}", payload(k)) for k in seeds])
+            plan = FaultPlan()
+            if flake is not None:
+                plan.add_registry_flake(flake[0], flake[0] + flake[1])
+            if crash is not None:
+                plan.add_node_crash(fleet.shards[crash[0] % n_shards].name,
+                                    crash[1])
+            fleet.fault_injector = plan.injector(fleet.clock)
+        pulled, timed = twins
+        now = 0.0
+        for gap, idx in tape:
+            now += gap
+            ref = refs[idx % len(refs)]
+            assert read(pulled, ref, now, "pull") \
+                == read(timed, ref, now, "timed_pull")
+            assert pulled.stats == timed.stats
+            for a, b in zip(pulled.shards, timed.shards):
+                assert a.stats == b.stats
+                assert a.queue_depth(now) == b.queue_depth(now)
+
+    def test_flake_is_checked_once_after_the_manifest_is_verified(self):
+        """The fault check comes after the manifest lookup and the
+        signature check, and only when a blob crosses the wire: an
+        unknown image is a plain miss even inside a flake window, a
+        flaked request was still verified, and a pull served wholly
+        from the node's own store never sees the flake."""
+        fleet = clocked_fleet(n_shards=2)
+        fleet.push("app:v1", ImageConfig(),
+                   [layer("bin", payload(1)), layer("lib", payload(2))])
+        checks = []
+        fleet.policy_gate = SimpleNamespace(
+            verify_pull=lambda reg, ref, manifest: checks.append(ref))
+        plan = FaultPlan().add_registry_flake(0.0, 1.0)
+        fleet.fault_injector = injector = plan.injector(fleet.clock)
+        with pytest.raises(RegistryError) as miss:
+            fleet.timed_pull("app:gone")
+        assert not isinstance(miss.value, TransientRegistryError)
+        for read_pull in (fleet.timed_pull, fleet.pull, fleet.pull):
+            with pytest.raises(TransientRegistryError):
+                read_pull("app:v1")
+        assert len(checks) == 3 and injector.faults_raised == 3
+        node = ContentStore()
+        for digest in fleet.image_blob_digests("app:v1"):
+            node.put(fleet.blob_at_rest(digest))
+        _, layers = fleet.pull("app:v1", local_store=node)
+        assert layers[1].members[0].data == payload(2)
+        assert injector.faults_raised == 3
+        assert fleet.stats.blobs_pulled == 0
+        assert fleet.stats.blobs_pull_skipped == 2
+
+    def test_repeated_layer_crosses_the_wire_once_per_node(self):
+        """An image naming one layer twice moves it once into a node's
+        store; the second mention is a pull-skip, as before the request
+        was batched."""
+        reg = Registry("site")
+        twice = layer("bin", payload(3))
+        reg.push("app:v1", ImageConfig(), [twice, twice])
+        node = ContentStore()
+        _, layers = reg.pull("app:v1", local_store=node)
+        assert layers[0].members == layers[1].members == twice.members
+        size = len(twice.serialize())
+        assert (reg.stats.blobs_pulled, reg.stats.bytes_pulled) == (1, size)
+        assert (reg.stats.blobs_pull_skipped,
+                reg.stats.bytes_pull_skipped) == (1, size)

@@ -53,6 +53,20 @@ class TestSingularity:
         assert status == 0, out
         assert "ATSE" in out
 
+    def test_rebuild_replaces_the_work_tree(self, login, alice):
+        """A second build of the same SIF removes the first build's
+        working tree before unpacking the base again."""
+        sing = Singularity(login, alice)
+        first = sing.build("/home/alice/atse.sif", SINGULARITY_DEF)
+        blob = sing.sys.read_file(first.path)
+        sing.sys.write_file(f"{sing.cache_dir}/build-atse.sif/stale",
+                            b"left over")
+        again = sing.build("/home/alice/atse.sif", SINGULARITY_DEF)
+        assert not sing.sys.exists(f"{sing.cache_dir}/build-atse.sif/stale")
+        assert sing.sys.read_file(again.path) == blob
+        status, out = sing.run(again, ["/opt/atse/bin/atse-info"])
+        assert status == 0 and "ATSE" in out
+
     def test_dockerfile_rejected(self, login, alice):
         """The interoperability limitation, verbatim."""
         sing = Singularity(login, alice)

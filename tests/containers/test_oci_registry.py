@@ -57,6 +57,8 @@ class TestRegistry:
         config, layers = r.pull("app:v1")
         assert config.env == ("A=1",)
         assert [m.path for l in layers for m in l] == ["f1", "f2"]
+        assert all(map(r.has_blob, r.image_blob_digests("app:v1")))
+        assert not r.has_blob("sha256:" + "0" * 64)
 
     def test_pull_unknown(self):
         with pytest.raises(RegistryError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.containers.storage import make_driver
-from repro.kernel import Kernel, Syscalls, make_ext4, make_lustre
+from repro.kernel import Kernel, Syscalls, make_ext4, make_gpfs, make_lustre
 from repro.kernel.filesystem_params import FS_PARAMS
 
 
@@ -28,6 +28,14 @@ class TestCostModel:
         for fstype in ("ext4", "tmpfs", "nfs", "lustre", "gpfs", "overlay"):
             assert fstype in FS_PARAMS
             assert FS_PARAMS[fstype].meta_op_cost > 0
+
+    def test_gpfs_defaults_to_no_user_xattrs(self):
+        """GPFS xattrs were "not evaluated" in the paper: the model
+        assumes none unless told otherwise, and enforces IDs remotely."""
+        assert not make_gpfs().features.user_xattrs
+        assert make_gpfs().features.remote_id_enforcement
+        assert make_gpfs(xattr_support=True).features.user_xattrs
+        assert make_gpfs().fstype == "gpfs"
 
     def test_shared_fs_metadata_more_expensive(self):
         assert FS_PARAMS["nfs"].meta_op_cost > 10 * FS_PARAMS["ext4"].meta_op_cost

@@ -72,6 +72,27 @@ class TestFigure7:
         assert fr.geteuid() == 0
         assert fr.getuid() == 0
         assert fr.getegid() == 0
+        assert fr.getgid() == 0
+
+    def test_lchown_lies_about_the_link_not_its_target(self, fr,
+                                                       alice_sys):
+        fr.write_file("/home/alice/target", b"")
+        fr.symlink("target", "/home/alice/link")
+        fr.lchown("/home/alice/link", 65534, 65534)
+        assert fr.lstat("/home/alice/link").st_uid == 65534
+        assert fr.stat("/home/alice/target").st_uid == 0
+        assert alice_sys.lstat("/home/alice/link").st_uid == 1000
+
+    def test_children_share_the_lie_database(self, fr, alice_sys):
+        """fork under fakeroot: the child is wrapped too, and its lies
+        are the parent's (LD_PRELOAD and the daemon propagate)."""
+        child = fr.clone_for(alice_sys.proc.fork())
+        assert isinstance(child, FakerootSyscalls)
+        assert child.db is fr.db and child.engine is fr.engine
+        child.write_file("/home/alice/f", b"")
+        child.chown("/home/alice/f", 7, 8)
+        st = fr.stat("/home/alice/f")
+        assert (st.st_uid, st.st_gid) == (7, 8)
 
 
 class TestLieConsistency:

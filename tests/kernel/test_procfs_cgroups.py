@@ -65,6 +65,15 @@ class TestCgroups:
             h.create(h.root, "user", alice.cred)
         assert exc.value.errno == Errno.EPERM
 
+    def test_v1_attach_requires_host_root(self, kernel, alice):
+        h = CgroupV1Hierarchy()
+        g = h.create(h.root, "hpc", kernel.init_process.cred)
+        h.attach(g, alice.pid, kernel.init_process.cred)
+        assert alice.pid in g.pids
+        with pytest.raises(KernelError) as exc:
+            h.attach(g, alice.pid, alice.cred)
+        assert exc.value.errno == Errno.EPERM
+
     def test_v1_container_root_still_denied(self, kernel, type3_sys):
         """Rootless containers leave cgroups unused (paper §4.1)."""
         h = CgroupV1Hierarchy()

@@ -71,6 +71,14 @@ class TestBasicFileOps:
         alice_sys.rmdir("/home/alice/d/sub")
         alice_sys.rmdir("/home/alice/d")
 
+    def test_lchown_changes_the_link_not_its_target(self, root_sys):
+        root_sys.write_file("/data/target", b"")
+        root_sys.symlink("target", "/data/link")
+        root_sys.lchown("/data/link", 1000, 1000)
+        assert (root_sys.lstat("/data/link").st_uid,
+                root_sys.lstat("/data/link").st_gid) == (1000, 1000)
+        assert root_sys.stat("/data/target").st_uid == 0
+
     def test_symlink_and_readlink(self, alice_sys):
         alice_sys.write_file("/home/alice/real", b"data")
         alice_sys.symlink("/home/alice/real", "/home/alice/lnk")

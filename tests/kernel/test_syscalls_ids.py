@@ -12,12 +12,14 @@ class TestIdentity:
         assert alice_sys.getuid() == 1000
         assert alice_sys.geteuid() == 1000
         assert alice_sys.getegid() == 1000
+        assert alice_sys.getgid() == 1000
 
     def test_type3_sees_root(self, type3_sys):
         """Paper §2.1.1: map the unprivileged invoking user to namespace
         UID 0 — appears privileged inside, unprivileged on the host."""
         assert type3_sys.geteuid() == 0
         assert type3_sys.getegid() == 0
+        assert type3_sys.getgid() == 0
         assert type3_sys.cred.euid == 1000  # reality: still alice
 
     def test_type2_sees_root(self, type2_sys):

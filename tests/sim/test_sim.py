@@ -10,7 +10,6 @@ from repro.sim import (
     EventQueue,
     LinkStats,
     NetLink,
-    ReferenceEventQueue,
     SimClock,
     SimEngine,
     SimError,
@@ -82,13 +81,11 @@ class TestEventQueue:
         with pytest.raises(SimError, match="non-finite"):
             EventQueue().push(bad, "x")
         with pytest.raises(SimError, match="non-finite"):
-            ReferenceEventQueue().push(bad, "x")
-        with pytest.raises(SimError, match="non-finite"):
             SimEngine().at(bad, lambda: None)
 
     def test_same_timestamp_flood_stays_fifo(self):
-        """The bucket fast path: a flood of equal-time events drains in
-        push order, interleaved correctly with distinct-time events."""
+        """A flood of equal-time events drains in push order,
+        interleaved correctly with distinct-time events."""
         q = EventQueue()
         q.push(2.0, "late")
         for i in range(1000):
@@ -101,24 +98,6 @@ class TestEventQueue:
         assert [fn for _, fn, _ in got[1:-1]] == list(range(1000))
         assert got[-1] == (2.0, "late", ())
         assert not q and q.peek_time() is None
-
-    def test_bucket_queue_matches_reference_queue(self):
-        """Both queue implementations pop the exact same sequence for
-        the same pushes — the ablation's ordering contract."""
-        pushes = [(1.0, "a"), (3.0, "b"), (1.0, "c"), (2.0, "d"),
-                  (1.0, "e"), (3.0, "f"), (0.0, "g"), (2.0, "h")]
-        fast, ref = EventQueue(), ReferenceEventQueue()
-        drained = []
-        for i, (t, tag) in enumerate(pushes):
-            fast.push(t, tag)
-            ref.push(t, tag)
-            if i % 3 == 2:          # interleave pops with pushes
-                drained.append((fast.pop(), ref.pop()))
-        while fast:
-            drained.append((fast.pop(), ref.pop()))
-        assert not ref
-        for got_fast, got_ref in drained:
-            assert got_fast == got_ref
 
 
 class TestSimEngine:

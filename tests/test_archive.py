@@ -73,6 +73,18 @@ class TestPackExtract:
                              on_chown_error="warn")
         assert any("a.txt" in w for w in warnings)
 
+    def test_diff_file_replaces_a_whole_directory(self, root_sys):
+        """A diff whose member is a file where the tree has a directory
+        removes that directory's whole subtree first."""
+        TarArchive.pack(root_sys, "/src").extract(root_sys, "/dst",
+                                                  preserve_owner=True)
+        assert root_sys.exists("/dst/sub/link")
+        TarArchive([TarMember("sub", FileType.REG, 0o644, 0, 0,
+                              data=b"now a file")]).apply_diff(
+            root_sys, "/dst")
+        assert root_sys.read_file("/dst/sub") == b"now a file"
+        assert root_sys.read_file("/dst/a.txt") == b"alpha"
+
     def test_serialize_roundtrip(self, root_sys):
         a = TarArchive.pack(root_sys, "/src")
         b = TarArchive.deserialize(a.serialize())
